@@ -1,12 +1,12 @@
 //! Encrypted inference serving telemetry — throughput and latency of
-//! the `InferenceServer` over TCP loopback, with the functional-key
+//! the `InferenceFleet` over TCP loopback, with the functional-key
 //! cache on and off.
 //!
 //! For each grid point (`clients × batch-size`, per security level) the
 //! harness spins up the real daemons (networked key authority +
-//! inference server), pre-encrypts every request outside the timed
-//! loop, then has each client thread run its requests synchronously,
-//! recording per-request latency. Two arms per point:
+//! single-shard inference fleet), pre-encrypts every request outside
+//! the timed loop, then has each client thread run its requests
+//! synchronously, recording per-request latency. Two arms per point:
 //!
 //! - **cache_off** — the status-quo serving path: coalescing window 1
 //!   and a zero-capacity key cache, so every request is its own secure
@@ -24,7 +24,7 @@
 //! Reported per (level, clients, batch, arm): predictions/s, p50/p99
 //! request latency, sweep and cache counters; plus the cache-on vs
 //! cache-off speedup per point. Emits `BENCH_predict_serve.json`
-//! (schema `cryptonn.bench.predict_serve/v3`).
+//! (schema `cryptonn.bench.predict_serve/v5`).
 //!
 //! The off/on ratio is *bounded* on this workload: FEIP key derivation
 //! costs one `q`-sized multiplication per weight element while the
@@ -37,29 +37,26 @@
 //! cache (generator comb + BSGS tables, DESIGN.md §13);
 //! `--check-warm-speedup X` gates the warm-over-cold ratio.
 //!
-//! Schema v3 adds the **open-loop arm**: a seeded Poisson arrival
-//! schedule over hundreds of live connections (thousands under
-//! `CRYPTONN_BENCH_FULL=1`), replayed bit-identically against the
-//! thread-per-connection `InferenceServer` and the reactor-driven
+//! The **open-loop arm**: a seeded Poisson arrival schedule over
+//! hundreds of live connections (thousands under
+//! `CRYPTONN_BENCH_FULL=1`), replayed against a two-shard
 //! `InferenceFleet` (DESIGN.md §15). Latency is charged against each
 //! request's *scheduled* arrival (no coordinated omission), reported as
-//! p50/p99/p999; `--check-open-loop X` gates the fleet-over-threadpool
-//! served-throughput ratio.
+//! p50/p99/p999.
 //!
-//! Schema v4 adds the **wire arm** (DESIGN.md §16): a codec microbench
-//! encodes and decodes the production Bits256 predict frame under both
-//! wire formats (bytes/msg plus encode/decode µs — the byte-reduction
-//! figure), and the open-loop schedule is replayed two more times
-//! against the reactor fleet with the clients pinned to the binary
-//! codec and to a mixed json/binary population — all three dialect
-//! arms must serve bit-identical predictions. `--check-wire` gates on
-//! binary ≥ 1.15x the json open-loop preds/s *or* ≥ 1.8x byte
-//! reduction at Bits256.
+//! The **wire arm** (DESIGN.md §16): a codec microbench encodes and
+//! decodes the production Bits256 predict frame under both wire formats
+//! (bytes/msg plus encode/decode µs — the byte-reduction figure), and
+//! the open-loop schedule is replayed two more times against the fleet
+//! with the clients pinned to the binary codec and to a mixed
+//! json/binary population — all three dialect arms must serve
+//! bit-identical predictions. `--check-wire` gates on binary ≥ 1.15x
+//! the json open-loop preds/s *or* ≥ 1.8x byte reduction at Bits256.
 //!
 //! ```text
 //! cargo run --release -p cryptonn-bench --bin predict_serve -- \
 //!     [--out BENCH_predict_serve.json] [--check-speedup 1.5] \
-//!     [--check-warm-speedup 5.0] [--check-open-loop 1.0] [--check-wire]
+//!     [--check-warm-speedup 5.0] [--check-wire]
 //! ```
 
 use std::sync::Arc;
@@ -71,8 +68,7 @@ use cryptonn_group::{SchnorrGroup, SecurityLevel};
 use cryptonn_matrix::Matrix;
 use cryptonn_net::{
     encode_frame_fmt, read_frame_sniff, AuthorityOptions, AuthorityServer, FleetOptions,
-    InferenceClient, InferenceFleet, InferenceServer, InferenceServerOptions, NetMsg,
-    RemoteAuthority, WireFormat, DEFAULT_MAX_FRAME,
+    InferenceClient, InferenceFleet, NetMsg, RemoteAuthority, WireFormat, DEFAULT_MAX_FRAME,
 };
 use cryptonn_parallel::Parallelism;
 use cryptonn_protocol::{
@@ -242,11 +238,11 @@ struct Report {
     /// synchronous client, batch 1 — the pure key-cache effect.
     headline_speedup_bits256: f64,
     warm_start: WarmStart,
-    /// Poisson-arrival load over many live connections: the reactor
-    /// fleet vs the thread-per-connection baseline (schema v3).
+    /// Poisson-arrival load over many live connections against the
+    /// two-shard fleet.
     open_loop: OpenLoop,
     /// json vs binary wire codec: frame bytes, codec µs, and the
-    /// open-loop dialect replays (schema v4).
+    /// open-loop dialect replays.
     wire: WireBench,
 }
 
@@ -367,20 +363,20 @@ fn run_arm(
     options: InferenceOptions,
 ) -> ArmOutcome {
     let config = serving_config(level);
-    let server = InferenceServer::start(
+    let fleet = InferenceFleet::start(
         "127.0.0.1:0",
         session_id,
         &config,
         frozen_model(&config),
         Arc::new(RemoteAuthority::new(authority_addr)),
-        InferenceServerOptions {
+        FleetOptions {
+            shards: 1,
             session: options,
-            pool_threads: clients + 4,
-            ..InferenceServerOptions::default()
+            ..FleetOptions::default()
         },
     )
-    .expect("inference server binds");
-    let addr = server.local_addr();
+    .expect("inference fleet binds");
+    let addr = fleet.local_addr();
 
     // Connect and pre-encrypt everything outside the timed region; the
     // deterministic seeds make the ciphertexts identical across arms.
@@ -432,9 +428,9 @@ fn run_arm(
     }
     let wall = start.elapsed().as_secs_f64();
 
-    let sweeps = server.sweeps();
-    let cache = server.cache_stats();
-    server.shutdown();
+    let sweeps = fleet.sweeps();
+    let cache = fleet.cache_stats();
+    fleet.shutdown();
 
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let requests = (clients * requests_per_client) as u64;
@@ -588,21 +584,17 @@ fn open_input(user: usize, req: usize) -> Matrix<f64> {
     })
 }
 
-/// One transport arm of the open-loop comparison.
+/// One replay of the open-loop schedule against the fleet.
 #[derive(Debug, Clone, Serialize)]
 struct OpenLoopArm {
-    /// `"reactor"` (the sharded fleet) or `"threadpool"` (the seed's
-    /// thread-per-connection server).
-    transport: String,
-    /// Readiness backend of the reactor arm (`"epoll"`/`"poll"`);
-    /// `"threads"` for the baseline.
+    /// Readiness backend of the fleet's reactor (`"epoll"`/`"poll"`).
     backend: String,
     completed: u64,
     wall_ms: f64,
     predictions_per_sec: f64,
     /// Latency is measured against the request's *scheduled* Poisson
     /// arrival, not its actual send time, so queueing delay from a
-    /// transport that falls behind is charged to the transport
+    /// daemon that falls behind is charged to the daemon
     /// (no coordinated omission).
     p50_ms: f64,
     p99_ms: f64,
@@ -620,100 +612,48 @@ struct OpenLoop {
     users: usize,
     arrivals: usize,
     /// Single-connection closed-loop service rate measured against the
-    /// threadpool baseline — the calibration anchor.
+    /// same fleet configuration — the calibration anchor.
     calibration_rps: f64,
-    /// Offered Poisson arrival rate (requests/s), identical for both
-    /// arms: the same seeded schedule is replayed against each.
+    /// Offered Poisson arrival rate (requests/s), identical for every
+    /// replay: the same seeded schedule each time.
     offered_rps: f64,
-    arms: Vec<OpenLoopArm>,
-    /// Reactor-fleet over threadpool served-throughput ratio — the
-    /// `--check-open-loop` gate.
-    fleet_over_threadpool: f64,
+    /// The json-dialect replay (the wire arm's reference).
+    fleet: OpenLoopArm,
 }
 
-/// Either serving daemon behind one address, torn down uniformly.
-enum Daemon {
-    Fleet(InferenceFleet),
-    Threads(InferenceServer),
-}
-
-impl Daemon {
-    fn addr(&self) -> std::net::SocketAddr {
-        match self {
-            Daemon::Fleet(f) => f.local_addr(),
-            Daemon::Threads(s) => s.local_addr(),
-        }
-    }
-    fn backend(&self) -> String {
-        match self {
-            Daemon::Fleet(f) => f.backend().to_string(),
-            Daemon::Threads(_) => "threads".to_string(),
-        }
-    }
-    fn shutdown(self) {
-        match self {
-            Daemon::Fleet(f) => f.shutdown(),
-            Daemon::Threads(s) => s.shutdown(),
-        }
-    }
-}
-
-fn start_daemon(
-    transport: &str,
+/// The open-loop daemon: a two-shard fleet with the coalescing window
+/// and key cache on.
+fn start_open_loop_fleet(
     authority_addr: std::net::SocketAddr,
     session_id: SessionId,
     config: &SessionConfig,
-    users: usize,
-) -> Daemon {
-    let session = InferenceOptions {
-        max_batch: COALESCE,
-        key_cache: 1024,
-    };
-    match transport {
-        "reactor" => Daemon::Fleet(
-            InferenceFleet::start(
-                "127.0.0.1:0",
-                session_id,
-                config,
-                open_frozen_model(config),
-                Arc::new(RemoteAuthority::new(authority_addr)),
-                FleetOptions {
-                    shards: 2,
-                    session,
-                    ..FleetOptions::default()
-                },
-            )
-            .expect("inference fleet binds"),
-        ),
-        _ => Daemon::Threads(
-            InferenceServer::start(
-                "127.0.0.1:0",
-                session_id,
-                config,
-                open_frozen_model(config),
-                Arc::new(RemoteAuthority::new(authority_addr)),
-                InferenceServerOptions {
-                    session,
-                    // One handler per live connection, as the seed
-                    // transport requires — this thread count *is* the
-                    // baseline's scaling cost.
-                    pool_threads: users + 8,
-                    ..InferenceServerOptions::default()
-                },
-            )
-            .expect("inference server binds"),
-        ),
-    }
+) -> InferenceFleet {
+    InferenceFleet::start(
+        "127.0.0.1:0",
+        session_id,
+        config,
+        open_frozen_model(config),
+        Arc::new(RemoteAuthority::new(authority_addr)),
+        FleetOptions {
+            shards: 2,
+            session: InferenceOptions {
+                max_batch: COALESCE,
+                key_cache: 1024,
+            },
+            ..FleetOptions::default()
+        },
+    )
+    .expect("inference fleet binds")
 }
 
-/// Replays the seeded Poisson schedule against one daemon: `users`
+/// Replays the seeded Poisson schedule against a fresh fleet: `users`
 /// connections held live for the whole run, each sending its
 /// pre-encrypted requests at their scheduled arrivals and recording
 /// completion against the schedule. `wire_of` picks each user's wire
 /// format — the daemon mirrors every connection individually, so a
 /// mixed population is just a non-constant function here.
 fn run_open_loop_arm(
-    transport: &str,
+    dialect: &str,
     authority_addr: std::net::SocketAddr,
     session_id: SessionId,
     config: &SessionConfig,
@@ -721,8 +661,8 @@ fn run_open_loop_arm(
     wire_of: fn(usize) -> WireFormat,
 ) -> (OpenLoopArm, Vec<Vec<Matrix<f64>>>) {
     let users = schedule.len();
-    let daemon = start_daemon(transport, authority_addr, session_id, config, users);
-    let addr = daemon.addr();
+    let fleet = start_open_loop_fleet(authority_addr, session_id, config);
+    let addr = fleet.local_addr();
 
     // Two barriers: everyone connected and pre-encrypted at the first,
     // the shared clock origin published between them, released at the
@@ -793,13 +733,12 @@ fn run_open_loop_arm(
         outputs.push(o);
         wall = wall.max(last);
     }
-    let backend = daemon.backend();
-    daemon.shutdown();
+    let backend = fleet.backend().to_string();
+    fleet.shutdown();
 
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let completed = latencies.len() as u64;
     let arm = OpenLoopArm {
-        transport: transport.into(),
         backend,
         completed,
         wall_ms: wall * 1e3,
@@ -810,17 +749,16 @@ fn run_open_loop_arm(
         max_ms: latencies.last().copied().unwrap_or(0.0),
     };
     println!(
-        "open-loop {transport:10} ({:5}): {:8.1} preds/s  p50 {:7.2} ms  p99 {:7.2} ms  p999 {:7.2} ms",
+        "open-loop {dialect:10} ({:5}): {:8.1} preds/s  p50 {:7.2} ms  p99 {:7.2} ms  p999 {:7.2} ms",
         arm.backend, arm.predictions_per_sec, arm.p50_ms, arm.p99_ms, arm.p999_ms
     );
     (arm, outputs)
 }
 
-/// The open-loop comparison: a seeded Poisson arrival schedule over
-/// many live connections, replayed against the thread-per-connection
-/// baseline and the reactor fleet — then twice more against the fleet
-/// under the binary and mixed client dialects (the wire arm). Every
-/// replay must serve bit-identical predictions.
+/// The open-loop arm: a seeded Poisson arrival schedule over many live
+/// connections, replayed against the fleet under the json client
+/// dialect — then twice more under the binary and mixed dialects (the
+/// wire arm). Every replay must serve bit-identical predictions.
 fn run_open_loop(authority_addr: std::net::SocketAddr) -> (OpenLoop, Vec<WireServeArm>, f64) {
     let config = open_loop_config();
     let (users, arrivals_n) = if cryptonn_bench::full_scale() {
@@ -829,11 +767,11 @@ fn run_open_loop(authority_addr: std::net::SocketAddr) -> (OpenLoop, Vec<WireSer
         (384usize, 1152usize)
     };
 
-    // Calibrate: single-connection closed-loop rate against the
-    // threadpool baseline fixes the offered load scale.
-    let cal = start_daemon("threadpool", authority_addr, SessionId(6000), &config, 1);
+    // Calibrate: the single-connection closed-loop rate fixes the
+    // offered load scale.
+    let cal = start_open_loop_fleet(authority_addr, SessionId(6000), &config);
     let mut client = InferenceClient::connect_with_wire(
-        cal.addr(),
+        cal.local_addr(),
         SessionId(6000),
         ClientId(0),
         &config,
@@ -857,9 +795,9 @@ fn run_open_loop(authority_addr: std::net::SocketAddr) -> (OpenLoop, Vec<WireSer
     cal.shutdown();
 
     // Offered load above the single-connection rate: coalescing and
-    // sharding are exactly what the fleet claims to add, so the
-    // schedule demands them. Same seed => both arms replay the
-    // identical arrival sequence.
+    // sharding are exactly what the fleet adds, so the schedule demands
+    // them. Same seed => every arm replays the identical arrival
+    // sequence.
     let offered_rps = calibration_rps * 1.5;
     let mut rng = StdRng::seed_from_u64(0x9e37_79b9);
     let mut t = 0.0f64;
@@ -874,32 +812,20 @@ fn run_open_loop(authority_addr: std::net::SocketAddr) -> (OpenLoop, Vec<WireSer
          (calibrated single-conn {calibration_rps:.1} req/s)"
     );
 
-    let (threads_arm, threads_out) = run_open_loop_arm(
-        "threadpool",
-        authority_addr,
-        SessionId(6001),
-        &config,
-        &schedule,
-        |_| WireFormat::Json,
-    );
     let (fleet_arm, fleet_out) = run_open_loop_arm(
-        "reactor",
+        "json",
         authority_addr,
         SessionId(6002),
         &config,
         &schedule,
         |_| WireFormat::Json,
     );
-    assert_eq!(
-        fleet_out, threads_out,
-        "open-loop arms must serve bit-identical predictions"
-    );
 
     // The wire arm: the same schedule against the same fleet, with the
     // clients speaking binary, then a mixed half-and-half population on
     // one daemon. The json serve numbers are the fleet arm itself.
     let (binary_arm, binary_out) = run_open_loop_arm(
-        "reactor",
+        "binary",
         authority_addr,
         SessionId(6003),
         &config,
@@ -907,11 +833,11 @@ fn run_open_loop(authority_addr: std::net::SocketAddr) -> (OpenLoop, Vec<WireSer
         |_| WireFormat::Binary,
     );
     assert_eq!(
-        binary_out, threads_out,
+        binary_out, fleet_out,
         "binary-dialect clients must be served bit-identical predictions"
     );
     let (mixed_arm, mixed_out) = run_open_loop_arm(
-        "reactor",
+        "mixed",
         authority_addr,
         SessionId(6004),
         &config,
@@ -925,7 +851,7 @@ fn run_open_loop(authority_addr: std::net::SocketAddr) -> (OpenLoop, Vec<WireSer
         },
     );
     assert_eq!(
-        mixed_out, threads_out,
+        mixed_out, fleet_out,
         "a mixed-dialect population must be served bit-identical predictions"
     );
     let serve_arm = |dialect: &str, arm: &OpenLoopArm| WireServeArm {
@@ -943,8 +869,6 @@ fn run_open_loop(authority_addr: std::net::SocketAddr) -> (OpenLoop, Vec<WireSer
     let binary_over_json = binary_arm.predictions_per_sec / fleet_arm.predictions_per_sec;
     println!("open-loop: binary dialect at {binary_over_json:.2}x the json fleet arm");
 
-    let ratio = fleet_arm.predictions_per_sec / threads_arm.predictions_per_sec;
-    println!("open-loop: reactor fleet at {ratio:.2}x the threadpool baseline");
     let open_loop = OpenLoop {
         level: format!("{:?}", config.level),
         feature_dim: OPEN_FEATURE_DIM,
@@ -952,8 +876,7 @@ fn run_open_loop(authority_addr: std::net::SocketAddr) -> (OpenLoop, Vec<WireSer
         arrivals: arrivals_n,
         calibration_rps,
         offered_rps,
-        arms: vec![threads_arm, fleet_arm],
-        fleet_over_threadpool: ratio,
+        fleet: fleet_arm,
     };
     (open_loop, serve, binary_over_json)
 }
@@ -962,7 +885,6 @@ fn main() {
     let mut out_path = "BENCH_predict_serve.json".to_string();
     let mut check_speedup: Option<f64> = None;
     let mut check_warm_speedup: Option<f64> = None;
-    let mut check_open_loop: Option<f64> = None;
     let mut check_wire = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -982,14 +904,6 @@ fn main() {
                         .expect("--check-warm-speedup requires a number")
                         .parse()
                         .expect("--check-warm-speedup requires a number"),
-                )
-            }
-            "--check-open-loop" => {
-                check_open_loop = Some(
-                    args.next()
-                        .expect("--check-open-loop requires a number")
-                        .parse()
-                        .expect("--check-open-loop requires a number"),
                 )
             }
             "--check-wire" => check_wire = true,
@@ -1096,7 +1010,7 @@ fn main() {
     };
 
     let report = Report {
-        schema: "cryptonn.bench.predict_serve/v4".into(),
+        schema: "cryptonn.bench.predict_serve/v5".into(),
         generated_by: "cargo run --release -p cryptonn-bench --bin predict_serve".into(),
         host: cryptonn_bench::host_info(),
         feature_dim: FEATURE_DIM,
@@ -1126,13 +1040,6 @@ fn main() {
             report.warm_start.warm_speedup >= min,
             "warm table-cache start {:.2}x below the {min:.2}x gate",
             report.warm_start.warm_speedup
-        );
-    }
-    if let Some(min) = check_open_loop {
-        assert!(
-            report.open_loop.fleet_over_threadpool >= min,
-            "open-loop reactor throughput {:.2}x the threadpool baseline, below the {min:.2}x gate",
-            report.open_loop.fleet_over_threadpool
         );
     }
     if check_wire {

@@ -359,10 +359,7 @@ fn run_wire_training_arm(
     let server = SessionServer::start(
         "127.0.0.1:0",
         Arc::new(RemoteAuthority::new(authority_addr)),
-        ServerOptions {
-            pool_threads: config.clients as usize + 8,
-            ..ServerOptions::default()
-        },
+        ServerOptions::default(),
     )
     .expect("session server binds");
     let addr = server.local_addr();
@@ -607,7 +604,6 @@ fn main() {
             Arc::new(RemoteAuthority::new(authority.local_addr())),
             ServerOptions {
                 max_sessions: s.max(8),
-                pool_threads: (s as u32 * k) as usize + 8,
                 ..ServerOptions::default()
             },
         )

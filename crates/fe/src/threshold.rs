@@ -1096,10 +1096,7 @@ mod tests {
             assert_eq!(recombine_scalars(&group, &xs, &picked), secret);
         }
         // Two shares of a 3-quorum do NOT recombine to the secret.
-        assert_ne!(
-            recombine_scalars(&group, &[1, 2], &shares[..2]),
-            secret
-        );
+        assert_ne!(recombine_scalars(&group, &[1, 2], &shares[..2]), secret);
     }
 
     #[test]

@@ -1,11 +1,18 @@
-//! The sharded inference fleet: N serving shards behind one
-//! reactor-driven front door.
+//! The encrypted inference serving daemon: N serving shards behind
+//! one reactor-driven front door.
 //!
-//! [`InferenceServer`](crate::inference::InferenceServer) runs one
-//! serving worker behind a thread-per-connection accept loop, so both
-//! its connection count and its sweep throughput are single-lane.
-//! [`InferenceFleet`] scales both axes without touching the protocol:
+//! [`InferenceFleet`] exposes one frozen trained model to many
+//! concurrent predict clients ([`InferenceClient`](crate::InferenceClient))
+//! over the framed transport. `FleetOptions { shards: 1, .. }` is the
+//! single-lane server; more shards scale sweep throughput without
+//! touching the protocol:
 //!
+//! - **Handshake** — clients open with the same `Hello` frame the
+//!   training server uses; session id and config must match the
+//!   serving config bit-for-bit, and the fleet answers with the
+//!   session's [`PublicParams`] (fetched from the authority once, at
+//!   start, so a misconfigured authority fails fast there rather than
+//!   on the first client).
 //! - **One listening socket, one loop thread** — a
 //!   [`Reactor`] accepts every predict client and multiplexes their
 //!   framed traffic; thousands of idle connections cost a slab entry
@@ -13,10 +20,17 @@
 //! - **Session-hashed shard routing** — each handshaken client id is
 //!   hashed onto one of N [`InferenceSession`] shards (a deterministic
 //!   splitmix on the id, so a client's requests stay FIFO on one
-//!   shard). Every shard runs the *same* event-driven state machine as
-//!   the single-lane server, fed through its own bounded queue by the
-//!   loop; a full queue parks the frame in the reactor and suspends
-//!   that connection's reads — TCP backpressure, end to end.
+//!   shard). Every shard runs one event-driven [`InferenceSession`],
+//!   fed through its own bounded queue by the loop; a full queue parks
+//!   the frame in the reactor and suspends that connection's reads —
+//!   TCP backpressure, end to end.
+//! - **Request coalescing** — a shard worker drains whatever is in
+//!   flight on its queue (up to the coalescing cap) into one sweep, so
+//!   concurrent clients' requests share wNAF recodings and a single
+//!   modular inversion.
+//! - **Failure isolation** — serving is stateless per request: a
+//!   client disconnecting (or submitting a malformed request) costs
+//!   only its own connection, never the model or other clients.
 //! - **One warmed key cache for the whole fleet** — the shards share a
 //!   single `Arc<CachingKeyService<ChannelKeyService>>` (and its one
 //!   authority link). Correctness: the cache is keyed on the exact
@@ -31,9 +45,8 @@
 //!
 //! Served predictions are bit-identical to the in-process
 //! [`predict_encrypted`](cryptonn_core::CryptoMlp::predict_encrypted)
-//! path and to the thread-per-connection server — the equivalence the
-//! reactor smoke test and the `predict_serve` open-loop bench arm pin
-//! down.
+//! path — the equivalence the `inference_serving` and `reactor_scale`
+//! suites pin down.
 //!
 //! [`MlpSnapshot`]: cryptonn_core::MlpSnapshot
 
@@ -264,9 +277,9 @@ fn shard_worker(
 ) {
     let conn_of = |client: ClientId| registry.lock().get(&client).map(|(c, _, f)| (*c, *f));
     loop {
-        // Block for the first event, drain the backlog — the backlog
-        // is the coalescing window, exactly as in the single-lane
-        // serving worker.
+        // Block for the first event, then drain whatever else is
+        // already in flight — that momentary backlog is exactly the
+        // coalescing window the session sweeps together.
         let first = match inbound.recv() {
             Ok(ev) => ev,
             Err(_) => return, // fleet shut down

@@ -1,464 +1,29 @@
-//! The encrypted inference serving daemon.
+//! The data-owner side of encrypted inference serving.
 //!
-//! [`InferenceServer`] exposes one frozen trained model to many
-//! concurrent predict clients over the framed transport:
+//! [`InferenceClient`] talks to an
+//! [`InferenceFleet`](crate::fleet::InferenceFleet) over the framed
+//! transport:
 //!
-//! - **handshake** — clients open with the same `Hello` frame the
+//! - **handshake** — the client opens with the same `Hello` frame the
 //!   training server uses; the config must match the serving config
 //!   bit-for-bit (it fixes the group, the quantization and the model
-//!   geometry the client encrypts against), and the server answers
-//!   with the session's [`PublicParams`] so a predict client can be
-//!   built from the wire alone;
-//! - **request batching** — connection handlers pump `Predict` frames
-//!   into one bounded queue; the single serving worker drains whatever
-//!   is in flight (up to the coalescing cap) into one
-//!   [`InferenceSession`] sweep, so concurrent clients' requests share
-//!   wNAF recodings and a single modular inversion;
-//! - **authority-free steady state** — the session wraps its authority
-//!   channel in a
-//!   [`CachingKeyService`](cryptonn_fe::CachingKeyService); after the
-//!   first sweep the frozen model's keys are all cache hits
-//!   ([`InferenceServer::cache_stats`] exposes the counters);
-//! - **failure isolation** — serving is stateless per request: a
-//!   client disconnecting (or submitting a malformed request) costs
-//!   only its own connection, never the model or other clients.
-//!
-//! [`run_inference_client`] and [`InferenceClient`] are the data-owner
-//! side: encrypt features, send a request, await the matching
-//! prediction — with as many requests in flight as the caller wants.
+//!   geometry the client encrypts against), and the fleet answers with
+//!   the session's [`PublicParams`](cryptonn_protocol::PublicParams),
+//!   so the encryptor is built from the wire alone;
+//! - **pipelining** — encrypt features, send a `Predict` request, await
+//!   the matching `Prediction`, with as many requests in flight as the
+//!   caller wants ([`run_inference_client`] drives a fixed window).
 
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
 
-use parking_lot::Mutex;
-
-use cryptonn_core::CryptoMlp;
-use cryptonn_fe::KeyCacheStats;
 use cryptonn_matrix::Matrix;
-use cryptonn_parallel::ThreadPool;
 use cryptonn_protocol::{
-    ClientId, InferenceOptions, InferenceSession, Party, PredictRequest, Prediction, PublicParams,
-    SessionConfig, SessionId, WireMessage,
+    ClientId, PredictRequest, Prediction, SessionConfig, SessionId, WireMessage,
 };
 
-use crate::authority::AuthorityConnector;
 use crate::error::NetError;
 use crate::framing::DEFAULT_MAX_FRAME;
-use crate::transport::{FrameRx, FrameTx, Hello, NetMsg, Peer, TcpTransport, Transport};
-
-/// Tuning for the serving daemon.
-#[derive(Debug, Clone)]
-pub struct InferenceServerOptions {
-    /// Bounded pool size for connection handlers (one per live client
-    /// connection); a saturated pool rejects new connections.
-    pub pool_threads: usize,
-    /// Bounded depth of the shared inbound request queue — the
-    /// backpressure boundary between readers and the serving worker.
-    pub queue_depth: usize,
-    /// Frame cap per connection.
-    pub max_frame: usize,
-    /// The state machine's coalescing and key-cache knobs.
-    pub session: InferenceOptions,
-    /// On-disk directory for the fingerprinted BSGS table cache; `None`
-    /// rebuilds tables in memory on every start.
-    pub table_cache: Option<std::path::PathBuf>,
-}
-
-impl Default for InferenceServerOptions {
-    fn default() -> Self {
-        Self {
-            pool_threads: 32,
-            queue_depth: 64,
-            max_frame: DEFAULT_MAX_FRAME,
-            session: InferenceOptions::default(),
-            table_cache: None,
-        }
-    }
-}
-
-enum Event {
-    Msg(ClientId, Box<WireMessage>),
-    Gone(ClientId),
-}
-
-type Conns = Arc<Mutex<HashMap<ClientId, Box<dyn FrameTx>>>>;
-
-/// Serving counters, updated by the worker after every sweep.
-#[derive(Debug, Default)]
-struct ServingStats {
-    served: AtomicU64,
-    sweeps: AtomicU64,
-    cache: Mutex<KeyCacheStats>,
-}
-
-/// The encrypted inference daemon: one frozen model, many concurrent
-/// predict clients, coalesced secure sweeps. See the module docs for
-/// the serving model.
-pub struct InferenceServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    worker: Option<JoinHandle<()>>,
-    inbound: Option<SyncSender<Event>>,
-    conns: Conns,
-    stats: Arc<ServingStats>,
-}
-
-impl InferenceServer {
-    /// Binds `addr` (e.g. `127.0.0.1:0`) and serves `model` — trained
-    /// under `config` — reaching the key authority through `authority`.
-    ///
-    /// The authority link opens (and the session's public parameters
-    /// are fetched) before the listener accepts anything, so a
-    /// misconfigured authority fails fast here rather than on the first
-    /// client.
-    ///
-    /// # Errors
-    ///
-    /// Bind failures; authority connection failures (surfaced as
-    /// `io::Error` with the connector's message).
-    pub fn start(
-        addr: &str,
-        session_id: SessionId,
-        config: &SessionConfig,
-        model: CryptoMlp,
-        authority: Arc<dyn AuthorityConnector>,
-        options: InferenceServerOptions,
-    ) -> std::io::Result<Self> {
-        let (params, link) = authority
-            .connect(session_id, config)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        let mut session = InferenceSession::new(&params, link, model, options.session);
-        if let Some(dir) = &options.table_cache {
-            session.attach_table_cache(dir.clone());
-        }
-        let params = Arc::new(params);
-
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Conns = Arc::new(Mutex::new(HashMap::new()));
-        let stats = Arc::new(ServingStats::default());
-        let (inbound_tx, inbound_rx) = std::sync::mpsc::sync_channel(options.queue_depth.max(1));
-
-        let worker = {
-            let conns = Arc::clone(&conns);
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || serving_worker(session, inbound_rx, conns, stats))
-        };
-
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let conns = Arc::clone(&conns);
-            let config = config.clone();
-            let inbound = inbound_tx.clone();
-            std::thread::spawn(move || {
-                let pool = ThreadPool::new(options.pool_threads);
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let slot = Arc::new(Mutex::new(Some(stream)));
-                    let job_slot = Arc::clone(&slot);
-                    let conns = Arc::clone(&conns);
-                    let config = config.clone();
-                    let params = Arc::clone(&params);
-                    let inbound = inbound.clone();
-                    let expected_session = session_id;
-                    let max_frame = options.max_frame;
-                    let accepted = pool.try_execute(move || {
-                        if let Some(stream) = job_slot.lock().take() {
-                            serve_predict_conn(
-                                stream,
-                                max_frame,
-                                expected_session,
-                                &config,
-                                &params,
-                                &conns,
-                                &inbound,
-                            );
-                        }
-                    });
-                    if !accepted {
-                        if let Some(stream) = slot.lock().take() {
-                            if let Ok(mut t) = TcpTransport::new(stream, options.max_frame) {
-                                let _ = t.send(&NetMsg::Reject("server at capacity".into()));
-                            }
-                        }
-                    }
-                }
-                // Dropping the pool joins in-flight connection handlers.
-            })
-        };
-
-        Ok(Self {
-            addr,
-            shutdown,
-            accept: Some(accept),
-            worker: Some(worker),
-            inbound: Some(inbound_tx),
-            conns,
-            stats,
-        })
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Requests answered so far.
-    pub fn served(&self) -> u64 {
-        self.stats.served.load(Ordering::SeqCst)
-    }
-
-    /// Secure sweeps run so far (≤ served; the gap is the coalescing).
-    pub fn sweeps(&self) -> u64 {
-        self.stats.sweeps.load(Ordering::SeqCst)
-    }
-
-    /// The functional-key cache counters, as of the last sweep.
-    pub fn cache_stats(&self) -> KeyCacheStats {
-        *self.stats.cache.lock()
-    }
-
-    /// Live predict connections.
-    pub fn live_clients(&self) -> usize {
-        self.conns.lock().len()
-    }
-
-    /// Stops accepting, tears down live connections, and joins the
-    /// accept loop and the serving worker.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for conn in self.conns.lock().values_mut() {
-            conn.close();
-        }
-        // Poke the listener so the blocking accept wakes up.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        // Handlers are joined; dropping our sender starves the worker.
-        self.inbound.take();
-        if let Some(handle) = self.worker.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for InferenceServer {
-    fn drop(&mut self) {
-        if self.accept.is_some() {
-            self.stop();
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve_predict_conn(
-    stream: TcpStream,
-    max_frame: usize,
-    expected_session: SessionId,
-    config: &SessionConfig,
-    params: &PublicParams,
-    conns: &Conns,
-    inbound: &SyncSender<Event>,
-) {
-    // A connection that never says Hello must not pin a pool worker
-    // forever (a saturated pool would lock every future client out and
-    // wedge shutdown): the handshake runs under a read deadline,
-    // lifted once the peer identifies itself.
-    let Ok(handshake_guard) = stream.try_clone() else {
-        return;
-    };
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(30)));
-    let Ok(transport) = TcpTransport::new(stream, max_frame) else {
-        return;
-    };
-    let (tx, mut rx) = Box::new(transport).split();
-    let mut tx = Some(tx);
-    let reject = |tx: &mut Option<Box<dyn FrameTx>>, why: String| {
-        if let Some(mut tx) = tx.take() {
-            let _ = tx.send(&NetMsg::Reject(why));
-        }
-    };
-
-    let hello = match rx.recv() {
-        Ok(Some(NetMsg::Hello(h))) => h,
-        _ => {
-            // Includes the deadline expiring: the frame read surfaces
-            // the timeout as an I/O error.
-            reject(&mut tx, "expected a Hello frame".into());
-            return;
-        }
-    };
-    // Identified: predict connections may then idle indefinitely.
-    let _ = handshake_guard.set_read_timeout(None);
-    let Peer::Client(client_id) = hello.peer else {
-        reject(
-            &mut tx,
-            "only clients connect to the inference server".into(),
-        );
-        return;
-    };
-    if hello.session != expected_session {
-        reject(
-            &mut tx,
-            format!(
-                "this server serves {expected_session}, not {}",
-                hello.session
-            ),
-        );
-        return;
-    }
-    if hello.config != *config {
-        reject(
-            &mut tx,
-            format!("{expected_session} is served with a different config"),
-        );
-        return;
-    }
-
-    // Register this connection's writer and relay the session's public
-    // parameters (fetched from the authority once, at server start) so
-    // the predict client can build its encryptor from the wire alone.
-    {
-        let mut conns = conns.lock();
-        if conns.contains_key(&client_id) {
-            drop(conns);
-            reject(
-                &mut tx,
-                format!("{client_id} is already connected to {expected_session}"),
-            );
-            return;
-        }
-        let mut tx = tx.take().expect("writer not yet consumed");
-        if tx
-            .send(&NetMsg::Msg(WireMessage::PublicParams(params.clone())))
-            .is_err()
-        {
-            return;
-        }
-        conns.insert(client_id, tx);
-    }
-
-    let cleanup = || {
-        if let Some(mut conn) = conns.lock().remove(&client_id) {
-            conn.close();
-        }
-    };
-
-    loop {
-        match rx.recv() {
-            Ok(Some(NetMsg::Msg(msg))) => {
-                if inbound.send(Event::Msg(client_id, Box::new(msg))).is_err() {
-                    cleanup();
-                    return;
-                }
-            }
-            Ok(Some(_)) | Ok(None) | Err(_) => {
-                let _ = inbound.send(Event::Gone(client_id));
-                cleanup();
-                return;
-            }
-        }
-    }
-}
-
-fn serving_worker(
-    mut session: InferenceSession,
-    inbound: Receiver<Event>,
-    conns: Conns,
-    stats: Arc<ServingStats>,
-) {
-    let route = |conns: &Conns, outs: Vec<cryptonn_protocol::Outbound>| {
-        let mut conns = conns.lock();
-        for ob in outs {
-            let Party::Client(id) = ob.to else { continue };
-            if let Some(conn) = conns.get_mut(&ClientId(id)) {
-                if conn.send(&NetMsg::Msg(ob.msg)).is_err() {
-                    // The reader side will report Gone; just drop it.
-                    if let Some(mut dead) = conns.remove(&ClientId(id)) {
-                        dead.close();
-                    }
-                }
-            }
-        }
-    };
-    let publish = |session: &InferenceSession, stats: &ServingStats| {
-        stats.served.store(session.served(), Ordering::SeqCst);
-        stats.sweeps.store(session.sweeps(), Ordering::SeqCst);
-        *stats.cache.lock() = session.cache_stats();
-    };
-
-    loop {
-        // Block for the first event, then drain whatever else is
-        // already in flight — that momentary backlog is exactly the
-        // coalescing window the session sweeps together.
-        let first = match inbound.recv() {
-            Ok(event) => event,
-            Err(_) => return, // server shut down
-        };
-        let mut events = vec![first];
-        while let Ok(event) = inbound.try_recv() {
-            events.push(event);
-        }
-        let mut outs = Vec::new();
-        for event in events {
-            match event {
-                Event::Gone(client) => {
-                    if let Some(mut conn) = conns.lock().remove(&client) {
-                        conn.close();
-                    }
-                }
-                Event::Msg(client, msg) => match session.handle_message(client, &msg) {
-                    Ok(o) => outs.extend(o),
-                    Err(e) => {
-                        // Malformed traffic costs the offender its
-                        // connection; the model and everyone else's
-                        // requests are untouched.
-                        if let Some(mut conn) = conns.lock().remove(&client) {
-                            let _ = conn.send(&NetMsg::Reject(e.to_string()));
-                            conn.close();
-                        }
-                    }
-                },
-            }
-        }
-        // Serve the remainder of the window.
-        match session.flush() {
-            Ok(o) => outs.extend(o),
-            Err(e) => {
-                // A sweep failure (an unreachable authority, a broken
-                // key response) is not attributable to one client: the
-                // drained window is lost, so tell everyone and drop
-                // the connections rather than leave them waiting.
-                let mut conns = conns.lock();
-                for conn in conns.values_mut() {
-                    let _ = conn.send(&NetMsg::Reject(format!("serving sweep failed: {e}")));
-                    conn.close();
-                }
-                conns.clear();
-            }
-        }
-        // Publish before routing: by the time any client observes a
-        // response, the counters already cover the sweep it came from.
-        publish(&session, &stats);
-        route(&conns, outs);
-    }
-}
-
-// ------------------------------------------------------------- client
+use crate::transport::{FrameRx, FrameTx, Hello, NetMsg, Peer, TcpTransport};
 
 /// A predict client: encrypts features under the wire-delivered public
 /// parameters and exchanges `Predict`/`Prediction` frames, with any
@@ -479,8 +44,8 @@ impl InferenceClient {
     ///
     /// # Errors
     ///
-    /// - [`NetError::Rejected`] if the server refuses (wrong session,
-    ///   config mismatch, duplicate client id, capacity);
+    /// - [`NetError::Rejected`] if the fleet refuses (wrong session,
+    ///   config mismatch);
     /// - connection and framing failures.
     pub fn connect(
         addr: SocketAddr,

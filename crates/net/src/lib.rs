@@ -22,15 +22,12 @@
 //!   backpressure in both directions, and handshake/idle timeouts
 //!   (DESIGN.md §15).
 //! - [`server`] — [`SessionServer`]: the concurrent multi-session
-//!   daemon — a [`SessionId`]-keyed registry, thread-per-connection on
-//!   a bounded [`ThreadPool`](cryptonn_parallel::ThreadPool), bounded
+//!   daemon — a [`SessionId`]-keyed registry behind the reactor (every
+//!   connection is admitted and pumped by the one loop thread), bounded
 //!   per-session inbound queues for backpressure, failure isolation
 //!   per session, and (with [`ServerOptions::durability`]) per-session
 //!   write-ahead ledgers plus checkpoints that let a restarted daemon
 //!   resume interrupted sessions bit-identically (DESIGN.md §14).
-//!   [`ServerOptions::transport`] (or `CRYPTONN_TRANSPORT=reactor`)
-//!   swaps the accept path onto the reactor; thread-per-connection
-//!   stays the default.
 //! - [`fault`] — [`FaultyTransport`]: deterministic fault injection at
 //!   frame boundaries (scripted and seeded-random kill points, frame
 //!   delays) — the churn test harness.
@@ -41,10 +38,15 @@
 //! - [`client`] — [`run_client`]: the data-owner driver, and
 //!   [`run_client_resumable`]: the reconnecting variant that rides out
 //!   connection loss via the server's `Resume` barrier.
-//! - [`inference`] — [`InferenceServer`]: encrypted prediction serving
-//!   against a frozen trained model — concurrent predict clients,
-//!   request coalescing into shared secure sweeps, and a functional-key
-//!   cache that makes the steady state authority-free (DESIGN.md §12).
+//! - [`fleet`] — [`InferenceFleet`]: encrypted prediction serving
+//!   against a frozen trained model — the reactor front door hashing
+//!   concurrent predict clients onto N serving shards, request
+//!   coalescing into shared secure sweeps, and one functional-key
+//!   cache that makes the steady state authority-free (DESIGN.md §12,
+//!   §15).
+//! - [`inference`] — [`InferenceClient`] / [`run_inference_client`]:
+//!   the data-owner side of serving — encrypt features, pipeline
+//!   predict requests, await the matching predictions.
 //!
 //! Every daemon and driver pumps the *same* role state machines as the
 //! in-process [`TrainingSessionRunner`](cryptonn_protocol::TrainingSessionRunner)
@@ -140,14 +142,12 @@ pub use framing::{
     encode_frame, encode_frame_fmt, encode_frame_into, read_frame, read_frame_sniff, write_frame,
     DEFAULT_MAX_FRAME, FRAME_HEADER,
 };
-pub use inference::{
-    run_inference_client, InferenceClient, InferenceServer, InferenceServerOptions,
-};
+pub use inference::{run_inference_client, InferenceClient};
 pub use reactor::{
     ConnId, Reactor, ReactorApp, ReactorConnTx, ReactorCtx, ReactorHandle, ReactorOptions,
     ReactorStats,
 };
-pub use server::{ResumedSession, ServerOptions, SessionOutcomeKind, SessionServer, TransportMode};
+pub use server::{ResumedSession, ServerOptions, SessionOutcomeKind, SessionServer};
 pub use transport::{
     mem_pair, mem_pair_default, FrameRx, FrameTx, Hello, MemTransport, NetMsg, Peer, TcpTransport,
     Transport,

@@ -1,13 +1,12 @@
 //! A hand-rolled readiness-driven reactor: one thread, one `epoll`
 //! instance, thousands of framed connections.
 //!
-//! The thread-per-connection transport pins one pool thread per live
-//! socket, so its pool size caps concurrency. The reactor inverts
-//! that: every connection is nonblocking, a single loop thread waits
-//! for readiness (`epoll` on Linux, portable `poll(2)` otherwise — no
+//! Every connection is nonblocking, a single loop thread waits for
+//! readiness (`epoll` on Linux, portable `poll(2)` otherwise — no
 //! external async runtime), and per-connection state is nothing but an
-//! incremental [`FrameDecoder`] and a bounded [`OutboundQueue`]. The
-//! protocol state machines never know the difference: the loop hands
+//! incremental [`FrameDecoder`] and a bounded [`OutboundQueue`] — an
+//! idle connection costs a slab entry, not a thread. The protocol
+//! state machines never see the readiness machinery: the loop hands
 //! the *application* ([`ReactorApp`]) whole decoded [`NetMsg`] frames,
 //! exactly what a blocking `recv` would have produced.
 //!
@@ -23,7 +22,8 @@
 //!   queue through a [`ReactorHandle`] and write one byte to the pipe;
 //!   the loop drains both. [`ReactorConnTx`] wraps that as a
 //!   [`FrameTx`], so session workers address reactor connections
-//!   through the same trait as pooled ones.
+//!   through the transport trait. A worker's close is flush-then-close:
+//!   frames it sent first are delivered before the line drops.
 //! - **Backpressure, inbound** — when the app cannot take a frame (its
 //!   worker queue is full, signalled by returning the frame from
 //!   [`ReactorApp::on_frame`]), the loop *parks* the frame, drops read
@@ -352,7 +352,8 @@ const TOKEN_CONN_BASE: u64 = 2;
 enum Command {
     /// Queue one already-encoded frame on a connection.
     Send(ConnId, Vec<u8>),
-    /// Tear a connection down.
+    /// Close a connection once the frames queued before this command
+    /// have flushed.
     Close(ConnId),
     /// Wake the app ([`ReactorApp::on_nudge`]) and retry parked frames
     /// — e.g. a worker drained its queue and can take more.
@@ -409,7 +410,9 @@ impl ReactorHandle {
         Ok(())
     }
 
-    /// Requests an asynchronous close of `conn`.
+    /// Requests an asynchronous close of `conn`: frames sent on it
+    /// before this call are flushed first (send-then-close delivers
+    /// the frame), bounded by the connection's outbound cap.
     pub fn close(&self, conn: ConnId) {
         self.push(Command::Close(conn));
     }
@@ -559,8 +562,7 @@ pub struct ReactorOptions {
     /// [`ReactorCtx::set_handshaken`]) within this window or is closed.
     pub handshake_timeout: Duration,
     /// Reap handshaken connections with no traffic for this long.
-    /// `None` lets identified peers idle indefinitely (the
-    /// thread-per-connection behavior).
+    /// `None` lets identified peers idle indefinitely.
     pub idle_timeout: Option<Duration>,
     /// Tick period: the granularity of timeouts and parked-frame
     /// retries.
@@ -991,11 +993,7 @@ fn process_commands<A: ReactorApp>(core: &mut LoopCore, app: &mut A, queue: &Mut
                 // close; the worker finds out via on_closed.
                 let _ = core.send_bytes(id, frame);
             }
-            Command::Close(id) => {
-                if core.conn_mut(id).is_some() {
-                    core.dead.push_back(id);
-                }
-            }
+            Command::Close(id) => core.close_after_flush(id),
             Command::Nudge => nudged = true,
             Command::Shutdown => core.running = false,
         }

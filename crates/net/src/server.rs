@@ -7,14 +7,17 @@
 //!   client's `Hello` creates the session (fixing its config and
 //!   opening the authority link), later clients must present the same
 //!   config bit-for-bit;
-//! - **thread-per-connection on a bounded pool** — each accepted
-//!   connection is handled by a `cryptonn-parallel`
-//!   [`ThreadPool`] worker; a saturated pool rejects new connections
-//!   instead of spawning unboundedly;
+//! - **one reactor loop for every connection** — the listener and all
+//!   accepted sockets are multiplexed by a [`Reactor`] running
+//!   `SessionApp`: admission (`Hello`, join-or-create, rejoin) happens
+//!   on the loop thread, session creation (authority I/O, table
+//!   builds) on a short-lived creator thread, so no connection ever
+//!   pins a thread (DESIGN.md §15.3);
 //! - **bounded inbound queues** — every session has one
 //!   `sync_channel` of events; when its worker is busy training, the
-//!   connection readers block on the full queue, which backpressures
-//!   straight down to the clients' sockets;
+//!   loop parks the frame that found the queue full and stops reading
+//!   that connection, which backpressures straight down to the
+//!   client's socket; the worker nudges the loop once it has room;
 //! - **per-session worker** — one thread per live session (registered
 //!   in a joinable [`WorkerSet`]) pumps the shared [`ServerSession`]
 //!   state machine (the same one the deterministic runner and the
@@ -41,18 +44,17 @@
 
 use std::collections::HashMap;
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use cryptonn_parallel::{Parallelism, ThreadPool, WorkerSet};
+use cryptonn_parallel::{Parallelism, WorkerSet};
 use cryptonn_protocol::{
     CheckpointStore, ClientId, Outbound, Party, ProtocolError, PublicParams, ServerSession,
     SessionConfig, SessionId, SessionSummary, WireMessage,
@@ -62,43 +64,12 @@ use crate::authority::AuthorityConnector;
 use crate::error::NetError;
 use crate::framing::DEFAULT_MAX_FRAME;
 use crate::reactor::{ConnId, Reactor, ReactorApp, ReactorCtx, ReactorHandle, ReactorOptions};
-use crate::transport::{
-    mem_pair, FrameRx, FrameTx, Hello, MemTransport, NetMsg, Peer, TcpTransport, Transport,
-};
+use crate::transport::{FrameTx, Hello, NetMsg, Peer};
 use cryptonn_wire::WireFormat;
-
-/// Which accept path a [`SessionServer`] runs.
-///
-/// The default resolves from the `CRYPTONN_TRANSPORT` environment
-/// variable (`reactor` selects the reactor; anything else — including
-/// unset — keeps the seed-compatible thread-per-connection pool), so
-/// the whole test suite can be swept across both transports without
-/// touching call sites, mirroring the `CRYPTONN_FORCE_SCALAR` kernel
-/// selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportMode {
-    /// Thread-per-connection on a bounded pool (the seed behavior).
-    ThreadPool,
-    /// One nonblocking reactor loop multiplexing every connection
-    /// (DESIGN.md §15).
-    Reactor,
-}
-
-impl Default for TransportMode {
-    fn default() -> Self {
-        match std::env::var("CRYPTONN_TRANSPORT").as_deref() {
-            Ok("reactor") => TransportMode::Reactor,
-            _ => TransportMode::ThreadPool,
-        }
-    }
-}
 
 /// Tuning for the session server.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Bounded pool size for connection handlers (one per live client
-    /// connection); a saturated pool rejects new connections.
-    pub pool_threads: usize,
     /// Maximum simultaneously live sessions; beyond it, session
     /// creation is rejected.
     pub max_sessions: usize,
@@ -120,10 +91,6 @@ pub struct ServerOptions {
     /// Checkpoints are cut only at clean points (empty reorder buffer),
     /// so an eligible step may checkpoint slightly late.
     pub checkpoint_every_steps: u64,
-    /// The accept path: thread-per-connection (the seed-compatible
-    /// default) or the nonblocking reactor. The default follows the
-    /// `CRYPTONN_TRANSPORT` environment variable.
-    pub transport: TransportMode,
     /// The wire format this daemon *writes* for its durable state
     /// (ledger, checkpoints): seed JSON or the binary codec. The
     /// default follows the `CRYPTONN_WIRE` environment variable.
@@ -137,7 +104,6 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> Self {
         Self {
-            pool_threads: 32,
             max_sessions: 8,
             queue_depth: 64,
             max_frame: DEFAULT_MAX_FRAME,
@@ -145,7 +111,6 @@ impl Default for ServerOptions {
             table_cache: None,
             durability: None,
             checkpoint_every_steps: 8,
-            transport: TransportMode::default(),
             wire: WireFormat::from_env(),
         }
     }
@@ -219,6 +184,10 @@ struct SessionEntry {
     inbound: SyncSender<SessionEvent>,
     conns: Conns,
     conn_epoch: Arc<AtomicU64>,
+    /// Raised by the loop when this session's full queue made it park
+    /// a frame (or a `Gone` notice); the worker lowers it on its next
+    /// dequeue and nudges the loop to retry.
+    parked: Arc<AtomicBool>,
 }
 
 /// A registry slot. `Creating` reserves the id (and pins the config)
@@ -258,12 +227,9 @@ impl Registry {
 pub struct SessionServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
     reactor: Option<Reactor>,
     registry: Arc<Registry>,
     workers: Arc<WorkerSet>,
-    options: ServerOptions,
-    authority: Arc<dyn AuthorityConnector>,
 }
 
 impl SessionServer {
@@ -272,7 +238,7 @@ impl SessionServer {
     ///
     /// # Errors
     ///
-    /// Bind failures.
+    /// Bind and reactor set-up failures.
     pub fn start(
         addr: &str,
         authority: Arc<dyn AuthorityConnector>,
@@ -283,107 +249,36 @@ impl SessionServer {
         let shutdown = Arc::new(AtomicBool::new(false));
         let registry = Arc::new(Registry::default());
         let workers = Arc::new(WorkerSet::new());
-        if options.transport == TransportMode::Reactor {
-            let reactor_options = ReactorOptions {
-                max_frame: options.max_frame,
-                ..ReactorOptions::default()
-            };
-            let reactor = Reactor::start(listener, reactor_options, |handle| SessionApp {
-                options: options.clone(),
+        let reactor_options = ReactorOptions {
+            max_frame: options.max_frame,
+            ..ReactorOptions::default()
+        };
+        let reactor = Reactor::start(listener, reactor_options, |handle| SessionApp {
+            daemon: Daemon {
+                options,
                 registry: Arc::clone(&registry),
-                authority: Arc::clone(&authority),
+                authority,
                 workers: Arc::clone(&workers),
                 shutdown: Arc::clone(&shutdown),
                 handle: handle.clone(),
-                conn_state: HashMap::new(),
-                waiting: Vec::new(),
-                creation_errors: Arc::new(Mutex::new(HashMap::new())),
-                pending_gone: Vec::new(),
-            })?;
-            return Ok(Self {
-                addr,
-                shutdown,
-                accept: None,
-                reactor: Some(reactor),
-                registry,
-                workers,
-                options,
-                authority,
-            });
-        }
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let registry = Arc::clone(&registry);
-            let workers = Arc::clone(&workers);
-            let authority = Arc::clone(&authority);
-            let options = options.clone();
-            std::thread::spawn(move || {
-                let pool = ThreadPool::new(options.pool_threads);
-                for stream in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    // The stream rides in a shared slot so a refused
-                    // job hands it back for the rejection frame.
-                    let slot = Arc::new(Mutex::new(Some(stream)));
-                    let job_slot = Arc::clone(&slot);
-                    let registry = Arc::clone(&registry);
-                    let workers = Arc::clone(&workers);
-                    let shutdown = Arc::clone(&shutdown);
-                    let authority = Arc::clone(&authority);
-                    let conn_options = options.clone();
-                    let accepted = pool.try_execute(move || {
-                        if let Some(stream) = job_slot.lock().take() {
-                            let Ok(transport) = TcpTransport::new(stream, conn_options.max_frame)
-                            else {
-                                return;
-                            };
-                            let (tx, rx) = Box::new(transport).split();
-                            serve_client_conn(
-                                tx,
-                                rx,
-                                &conn_options,
-                                &registry,
-                                authority.as_ref(),
-                                &workers,
-                                &shutdown,
-                            );
-                        }
-                    });
-                    if !accepted {
-                        // Saturated pool: refuse rather than queue — the
-                        // client gets a typed rejection, not a hang.
-                        if let Some(stream) = slot.lock().take() {
-                            if let Ok(mut t) = TcpTransport::new(stream, options.max_frame) {
-                                let _ = t.send(&NetMsg::Reject("server at capacity".into()));
-                            }
-                        }
-                    }
-                }
-                // Dropping the pool joins in-flight connection handlers.
-            })
-        };
+            },
+            conn_state: HashMap::new(),
+            waiting: Vec::new(),
+            creation_errors: Arc::new(Mutex::new(HashMap::new())),
+            pending_gone: Vec::new(),
+        })?;
         Ok(Self {
             addr,
             shutdown,
-            accept: Some(accept),
-            reactor: None,
+            reactor: Some(reactor),
             registry,
             workers,
-            options,
-            authority,
         })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Which accept path this daemon runs.
-    pub fn transport(&self) -> TransportMode {
-        self.options.transport
     }
 
     /// Sessions currently live.
@@ -402,41 +297,10 @@ impl SessionServer {
         self.registry.resumed.lock().clone()
     }
 
-    /// Opens an in-memory connection to this server: the returned
-    /// transport speaks to a dedicated handler thread running the
-    /// *same* per-connection code as an accepted TCP socket (and
-    /// moving the same encoded frames), so churn suites can exercise
-    /// the full daemon without a network stack.
-    pub fn connect_mem(&self) -> MemTransport {
-        let (local, remote) = mem_pair(self.options.queue_depth.max(1), self.options.max_frame);
-        let (tx, rx) = Box::new(remote).split();
-        let registry = Arc::clone(&self.registry);
-        let workers = Arc::clone(&self.workers);
-        let shutdown = Arc::clone(&self.shutdown);
-        let authority = Arc::clone(&self.authority);
-        let options = self.options.clone();
-        // Detached on purpose: the handler exits when the client half
-        // drops, and must not hold shutdown hostage to a client that
-        // never does.
-        std::thread::spawn(move || {
-            serve_client_conn(
-                tx,
-                rx,
-                &options,
-                &registry,
-                authority.as_ref(),
-                &workers,
-                &shutdown,
-            );
-        });
-        local
-    }
-
     /// Stops accepting, tears down live connections, asks every
     /// session worker to finish (in-flight durable sessions land as
     /// `Failed` with their ledgers intact, ready for a restarted
-    /// daemon), and joins the accept loop, the handler pool, and the
-    /// session workers.
+    /// daemon), and joins the reactor loop and the session workers.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -444,10 +308,9 @@ impl SessionServer {
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Take the live sessions out of the registry: their queue
-        // senders drop with the entries, every connection closes (which
-        // unblocks the socket readers), and an explicit Shutdown event
-        // tells each worker to finish even while stray handler threads
-        // still hold queue senders.
+        // senders drop with the entries, every connection is closed,
+        // and an explicit Shutdown event tells each worker to finish
+        // even while the loop still holds queue senders.
         let entries: Vec<Slot> = self.registry.live.lock().drain().map(|(_, s)| s).collect();
         for slot in &entries {
             if let Slot::Ready(entry) = slot {
@@ -458,24 +321,19 @@ impl SessionServer {
         }
         for slot in &entries {
             let Slot::Ready(entry) = slot else { continue };
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            let deadline = Instant::now() + Duration::from_secs(10);
             loop {
                 match entry.inbound.try_send(SessionEvent::Shutdown) {
                     Ok(()) | Err(TrySendError::Disconnected(_)) => break,
                     // A full queue drains as the worker processes it.
                     Err(TrySendError::Full(_)) => {
-                        if std::time::Instant::now() >= deadline {
+                        if Instant::now() >= deadline {
                             break;
                         }
-                        std::thread::sleep(std::time::Duration::from_millis(5));
+                        std::thread::sleep(Duration::from_millis(5));
                     }
                 }
             }
-        }
-        // Poke the listener so the blocking accept wakes up.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
         }
         if let Some(reactor) = self.reactor.take() {
             // The shutdown command is queued behind the connection
@@ -490,258 +348,16 @@ impl SessionServer {
 
 impl Drop for SessionServer {
     fn drop(&mut self) {
-        if self.accept.is_some() || self.reactor.is_some() {
+        if self.reactor.is_some() {
             self.stop();
         }
     }
 }
 
-fn serve_client_conn(
-    tx: Box<dyn FrameTx>,
-    mut rx: Box<dyn FrameRx>,
-    options: &ServerOptions,
-    registry: &Arc<Registry>,
-    authority: &dyn AuthorityConnector,
-    workers: &Arc<WorkerSet>,
-    shutdown: &Arc<AtomicBool>,
-) {
-    let mut tx = Some(tx);
-    let reject = |tx: &mut Option<Box<dyn FrameTx>>, why: String| {
-        if let Some(mut tx) = tx.take() {
-            let _ = tx.send(&NetMsg::Reject(why));
-        }
-    };
-
-    let hello = match rx.recv() {
-        Ok(Some(NetMsg::Hello(h))) => h,
-        _ => {
-            reject(&mut tx, "expected a Hello frame".into());
-            return;
-        }
-    };
-    let Peer::Client(client_id) = hello.peer else {
-        reject(&mut tx, "only clients connect to the session server".into());
-        return;
-    };
-
-    // A spent session id never comes back to life under this daemon.
-    // A member whose last connection died in the final stretch may
-    // rejoin after the live entry is gone: serve it the recorded
-    // summary (delivery is idempotent) rather than found a phantom
-    // session under the old id, and restate the verdict of a failed
-    // one.
-    {
-        let served = registry.served.lock();
-        if let Some((config, summary)) = served.get(&hello.session) {
-            if *config != hello.config {
-                let why = format!("{} already exists with a different config", hello.session);
-                drop(served);
-                reject(&mut tx, why);
-                return;
-            }
-            let summary = summary.clone();
-            drop(served);
-            if let Some(mut tx) = tx.take() {
-                if tx.send(&NetMsg::Msg(WireMessage::Summary(summary))).is_ok() {
-                    // Drain until the client hangs up, so closing a TCP
-                    // socket with unread inbound frames (the client's
-                    // re-registration) cannot reset the summary out
-                    // from under it.
-                    while let Ok(Some(_)) = rx.recv() {}
-                }
-            }
-            return;
-        }
-    }
-    let failure = registry
-        .finished
-        .lock()
-        .iter()
-        .rev()
-        .find_map(|(id, o)| match o {
-            SessionOutcomeKind::Failed(why) if *id == hello.session => Some(why.clone()),
-            _ => None,
-        });
-    if let Some(why) = failure {
-        if let Some(mut tx) = tx.take() {
-            if tx
-                .send(&NetMsg::Reject(format!("{} failed: {why}", hello.session)))
-                .is_ok()
-            {
-                // Drain until the client hangs up: its registration is
-                // already in flight behind the Hello, and dropping the
-                // reader with that frame unread kills the connection
-                // before the verdict is read (same discipline as the
-                // served-summary path above).
-                while let Ok(Some(_)) = rx.recv() {}
-            }
-        }
-        return;
-    }
-
-    // Join or create the session. The registry lock is only ever held
-    // for map operations — never across authority I/O or socket sends —
-    // so one slow peer or an unreachable authority cannot stall other
-    // sessions' handshakes.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    let (inbound, conns, params, conn_epoch) = loop {
-        let mut live = registry.live.lock();
-        match live.get(&hello.session) {
-            Some(Slot::Ready(entry)) => {
-                if entry.config != hello.config {
-                    drop(live);
-                    reject(
-                        &mut tx,
-                        format!("{} already exists with a different config", hello.session),
-                    );
-                    return;
-                }
-                break (
-                    entry.inbound.clone(),
-                    Arc::clone(&entry.conns),
-                    entry.params.clone(),
-                    Arc::clone(&entry.conn_epoch),
-                );
-            }
-            Some(Slot::Creating { config }) => {
-                // Another member is opening the authority link; check
-                // the config now, then wait our turn off-lock.
-                if *config != hello.config {
-                    drop(live);
-                    reject(
-                        &mut tx,
-                        format!("{} already exists with a different config", hello.session),
-                    );
-                    return;
-                }
-                drop(live);
-                if std::time::Instant::now() >= deadline {
-                    reject(&mut tx, "session setup timed out".into());
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            None => {
-                if live.len() >= options.max_sessions {
-                    drop(live);
-                    reject(&mut tx, "server at session capacity".into());
-                    return;
-                }
-                live.insert(
-                    hello.session,
-                    Slot::Creating {
-                        config: hello.config.clone(),
-                    },
-                );
-                drop(live);
-                match create_session(
-                    hello.session,
-                    &hello.config,
-                    options,
-                    registry,
-                    authority,
-                    workers,
-                    shutdown,
-                ) {
-                    Ok(entry) => {
-                        let handles = (
-                            entry.inbound.clone(),
-                            Arc::clone(&entry.conns),
-                            entry.params.clone(),
-                            Arc::clone(&entry.conn_epoch),
-                        );
-                        registry
-                            .live
-                            .lock()
-                            .insert(hello.session, Slot::Ready(Box::new(entry)));
-                        break handles;
-                    }
-                    Err(e) => {
-                        registry.live.lock().remove(&hello.session);
-                        reject(&mut tx, format!("session setup failed: {e}"));
-                        return;
-                    }
-                }
-            }
-        }
-    };
-
-    // Register this connection's writer and relay the session's public
-    // parameters — under the per-session conns lock only.
-    let epoch = {
-        let mut conns = conns.lock();
-        if conns.contains_key(&client_id) {
-            // A second connection for a registered client: a rejoin
-            // under a resume policy (latest connection wins — the old
-            // one is dead or dying, and its epoch-keyed Gone notice
-            // cannot evict the new writer), a duplicate to refuse
-            // otherwise.
-            if !hello.config.policy.resumes() {
-                drop(conns);
-                reject(
-                    &mut tx,
-                    format!("{client_id} is already connected to {}", hello.session),
-                );
-                return;
-            }
-            if let Some((_, mut old)) = conns.remove(&client_id) {
-                old.close();
-            }
-        }
-        let epoch = conn_epoch.fetch_add(1, Ordering::SeqCst);
-        let mut tx = tx.take().expect("writer not yet consumed");
-        if tx
-            .send(&NetMsg::Msg(WireMessage::PublicParams(params)))
-            .is_err()
-        {
-            return;
-        }
-        conns.insert(client_id, (epoch, tx));
-        epoch
-    };
-
-    // If the worker died while we registered (a lost race with session
-    // completion/failure), nobody will ever serve this connection —
-    // tear it down rather than leave the client hanging. Only our own
-    // epoch's writer, though: a rejoined client may own the slot now.
-    let cleanup = || {
-        let mut conns = conns.lock();
-        if conns.get(&client_id).is_some_and(|(e, _)| *e == epoch) {
-            if let Some((_, mut conn)) = conns.remove(&client_id) {
-                conn.close();
-            }
-        }
-    };
-
-    // Pump frames into the session's bounded queue. A full queue blocks
-    // here — TCP backpressure to this client — while the worker trains.
-    loop {
-        match rx.recv() {
-            Ok(Some(NetMsg::Msg(msg))) => {
-                if inbound
-                    .send(SessionEvent::Msg(client_id, Box::new(msg)))
-                    .is_err()
-                {
-                    // Worker gone: session completed or failed.
-                    cleanup();
-                    return;
-                }
-            }
-            Ok(Some(_)) | Ok(None) | Err(_) => {
-                if inbound.send(SessionEvent::Gone(client_id, epoch)).is_err() {
-                    cleanup();
-                }
-                return;
-            }
-        }
-    }
-}
-
-// ------------------------------------------------- reactor accept path
+// ------------------------------------------------------ admission path
 
 /// How long a connection may wait for its session's founding authority
-/// handshake before being refused — the same window the threaded path
-/// polls under.
+/// handshake before being refused.
 const SETUP_DEADLINE: Duration = Duration::from_secs(30);
 
 /// What the reactor knows about one established connection. Connections
@@ -753,11 +369,12 @@ enum ConnState {
         epoch: u64,
         inbound: SyncSender<SessionEvent>,
         conns: Conns,
+        parked: Arc<AtomicBool>,
     },
     /// Served a recorded summary; inbound frames are ignored until the
-    /// peer hangs up (the reactor analogue of the threaded path's
-    /// drain-until-close, which keeps an unread re-registration frame
-    /// from resetting the summary).
+    /// peer hangs up — closing a socket with the client's
+    /// re-registration frame still unread would reset the summary out
+    /// from under it.
     Draining,
 }
 
@@ -770,7 +387,7 @@ struct WaitingConn {
 }
 
 /// A `Gone` notice that found its session queue full; retried every
-/// tick until delivered (it must not be lost — the worker's churn
+/// tick and nudge until delivered (it must not be lost — the worker's churn
 /// accounting depends on it).
 struct PendingGone {
     inbound: SyncSender<SessionEvent>,
@@ -779,21 +396,27 @@ struct PendingGone {
     conns: Conns,
 }
 
-/// The session daemon as a [`ReactorApp`]: the event-driven twin of
-/// [`serve_client_conn`]. Sessions, workers, ledgers, and routing are
-/// the *same* code ([`create_session`] / [`session_worker`] /
-/// [`route_outbound`]); only the connection pump differs — one loop
-/// thread multiplexes every socket, session workers answer through
-/// [`ReactorHandle::conn_tx`] writers, and a full session queue parks
-/// the frame (suspending that connection's reads) instead of blocking
-/// a reader thread.
-struct SessionApp {
+/// What every session of one daemon shares: the loop admits against
+/// it, creator threads build sessions from it, and session workers
+/// report to it.
+#[derive(Clone)]
+struct Daemon {
     options: ServerOptions,
     registry: Arc<Registry>,
     authority: Arc<dyn AuthorityConnector>,
     workers: Arc<WorkerSet>,
     shutdown: Arc<AtomicBool>,
     handle: ReactorHandle,
+}
+
+/// The session daemon's front door as a [`ReactorApp`]: one loop
+/// thread admits and multiplexes every socket, [`create_session`] runs
+/// on a creator thread, session workers ([`session_worker`] /
+/// [`route_outbound`]) answer through [`ReactorHandle::conn_tx_fmt`]
+/// writers, and a full session queue parks the frame (suspending that
+/// connection's reads) until the worker nudges the loop.
+struct SessionApp {
+    daemon: Daemon,
     conn_state: HashMap<ConnId, ConnState>,
     waiting: Vec<WaitingConn>,
     /// Reasons sessions failed to create, keyed for the waiters that
@@ -810,6 +433,7 @@ type EntryHandles = (
     Conns,
     PublicParams,
     Arc<AtomicU64>,
+    Arc<AtomicBool>,
 );
 
 fn entry_handles(entry: &SessionEntry) -> EntryHandles {
@@ -818,6 +442,7 @@ fn entry_handles(entry: &SessionEntry) -> EntryHandles {
         Arc::clone(&entry.conns),
         entry.params.clone(),
         Arc::clone(&entry.conn_epoch),
+        Arc::clone(&entry.parked),
     )
 }
 
@@ -829,8 +454,14 @@ fn reject_conn(ctx: &mut ReactorCtx<'_>, conn: ConnId, why: String) {
 
 impl SessionApp {
     /// The full `Hello` admission: served-summary replay, failed-session
-    /// refusal, then join-or-create — the same checks, in the same
-    /// order, with the same wording as the threaded path.
+    /// refusal, then join-or-create.
+    ///
+    /// A spent session id never comes back to life under this daemon. A
+    /// member whose last connection died in the final stretch may
+    /// rejoin after the live entry is gone: it is served the recorded
+    /// summary (delivery is idempotent) rather than founding a phantom
+    /// session under the old id, and a failed session's verdict is
+    /// restated.
     fn handshake(&mut self, ctx: &mut ReactorCtx<'_>, conn: ConnId, hello: Hello) {
         let Peer::Client(client) = hello.peer else {
             reject_conn(
@@ -840,12 +471,12 @@ impl SessionApp {
             );
             return;
         };
-        if self.shutdown.load(Ordering::SeqCst) {
+        if self.daemon.shutdown.load(Ordering::SeqCst) {
             reject_conn(ctx, conn, "server shutting down".into());
             return;
         }
         {
-            let served = self.registry.served.lock();
+            let served = self.daemon.registry.served.lock();
             if let Some((config, summary)) = served.get(&hello.session) {
                 if *config != hello.config {
                     let why = format!("{} already exists with a different config", hello.session);
@@ -867,16 +498,12 @@ impl SessionApp {
                 return;
             }
         }
-        let failure = self
-            .registry
-            .finished
-            .lock()
-            .iter()
-            .rev()
-            .find_map(|(id, o)| match o {
-                SessionOutcomeKind::Failed(why) if *id == hello.session => Some(why.clone()),
-                _ => None,
-            });
+        let finished = self.daemon.registry.finished.lock();
+        let failure = finished.iter().rev().find_map(|(id, o)| match o {
+            SessionOutcomeKind::Failed(why) if *id == hello.session => Some(why.clone()),
+            _ => None,
+        });
+        drop(finished);
         if let Some(why) = failure {
             reject_conn(ctx, conn, format!("{} failed: {why}", hello.session));
             return;
@@ -901,7 +528,7 @@ impl SessionApp {
             Refuse(String),
         }
         let step = {
-            let mut live = self.registry.live.lock();
+            let mut live = self.daemon.registry.live.lock();
             match live.get(&hello.session) {
                 Some(Slot::Ready(entry)) => {
                     if entry.config != hello.config {
@@ -924,7 +551,7 @@ impl SessionApp {
                     }
                 }
                 None => {
-                    if live.len() >= self.options.max_sessions {
+                    if live.len() >= self.daemon.options.max_sessions {
                         Step::Refuse("server at session capacity".into())
                     } else {
                         live.insert(
@@ -954,25 +581,12 @@ impl SessionApp {
     /// one unreachable authority must not stall every connection. The
     /// founding `Hello` waits in [`Self::waiting`] meanwhile.
     fn spawn_creator(&self, session: SessionId, config: SessionConfig) {
-        let registry = Arc::clone(&self.registry);
-        let authority = Arc::clone(&self.authority);
-        let workers = Arc::clone(&self.workers);
-        let shutdown = Arc::clone(&self.shutdown);
-        let options = self.options.clone();
+        let daemon = self.daemon.clone();
         let errors = Arc::clone(&self.creation_errors);
-        let handle = self.handle.clone();
         let spawned = std::thread::Builder::new()
             .name(format!("{session}-create"))
             .spawn(move || {
-                match create_session(
-                    session,
-                    &config,
-                    &options,
-                    &registry,
-                    authority.as_ref(),
-                    &workers,
-                    &shutdown,
-                ) {
+                match create_session(session, &config, &daemon) {
                     Ok(entry) => {
                         // Decided under the registry lock against the
                         // flag `stop()` sets *before* draining: either
@@ -981,24 +595,24 @@ impl SessionApp {
                         // queue sender with it, which ends the already-
                         // spawned worker. Never an orphan that would
                         // hang `join_all`.
-                        let mut live = registry.live.lock();
-                        if shutdown.load(Ordering::SeqCst) {
+                        let mut live = daemon.registry.live.lock();
+                        if daemon.shutdown.load(Ordering::SeqCst) {
                             drop(entry);
                         } else {
                             live.insert(session, Slot::Ready(Box::new(entry)));
                         }
                     }
                     Err(e) => {
-                        registry.live.lock().remove(&session);
+                        daemon.registry.live.lock().remove(&session);
                         errors.lock().insert(session, e.to_string());
                     }
                 }
                 // Wake the loop so parked founders settle now, not at
                 // the next tick.
-                handle.nudge();
+                daemon.handle.nudge();
             });
         if spawned.is_err() {
-            self.registry.live.lock().remove(&session);
+            self.daemon.registry.live.lock().remove(&session);
             self.creation_errors
                 .lock()
                 .insert(session, "could not spawn the session creator".into());
@@ -1007,7 +621,7 @@ impl SessionApp {
 
     /// Registers an admitted connection into a `Ready` session: epoch
     /// allocation, duplicate/rejoin policy, the `PublicParams` reply,
-    /// and the writer insert — the mirror of the threaded epoch block.
+    /// and the writer insert.
     fn register(
         &mut self,
         ctx: &mut ReactorCtx<'_>,
@@ -1016,10 +630,12 @@ impl SessionApp {
         hello: &Hello,
         handles: EntryHandles,
     ) {
-        let (inbound, conns, params, conn_epoch) = handles;
+        let (inbound, conns, params, conn_epoch, parked) = handles;
         let epoch = {
             let mut conns_l = conns.lock();
             if conns_l.contains_key(&client) {
+                // A second connection for a registered client: a rejoin
+                // under a resume policy, a duplicate to refuse otherwise.
                 if !hello.config.policy.resumes() {
                     drop(conns_l);
                     reject_conn(
@@ -1054,7 +670,7 @@ impl SessionApp {
                 client,
                 (
                     epoch,
-                    Box::new(self.handle.conn_tx_fmt(conn, format)) as Box<dyn FrameTx>,
+                    Box::new(self.daemon.handle.conn_tx_fmt(conn, format)) as Box<dyn FrameTx>,
                 ),
             );
             epoch
@@ -1066,6 +682,7 @@ impl SessionApp {
                 epoch,
                 inbound,
                 conns,
+                parked,
             },
         );
         ctx.set_handshaken(conn);
@@ -1084,7 +701,7 @@ impl SessionApp {
         }
         for w in std::mem::take(&mut self.waiting) {
             let next = {
-                let live = self.registry.live.lock();
+                let live = self.daemon.registry.live.lock();
                 match live.get(&w.hello.session) {
                     Some(Slot::Ready(entry)) => Next::Join(Box::new(entry_handles(entry))),
                     Some(Slot::Creating { .. }) => Next::Wait,
@@ -1113,8 +730,8 @@ impl SessionApp {
                         // The slot vanished for another reason — e.g.
                         // the session raced to completion while this
                         // member waited. Re-run the full admission,
-                        // which serves recorded verdicts and (like the
-                        // threaded wait loop) may found a fresh attempt.
+                        // which serves recorded verdicts and may found
+                        // a fresh attempt.
                         self.handshake(ctx, w.conn, w.hello);
                     }
                 }
@@ -1156,8 +773,7 @@ impl ReactorApp for SessionApp {
                         // Clients fire their registration frames right
                         // behind the Hello without waiting for
                         // PublicParams; while session setup is in
-                        // flight, park them (the threaded path simply
-                        // has not read the socket yet).
+                        // flight, park them.
                         Some(other)
                     } else {
                         reject_conn(ctx, conn, "expected a Hello frame".into());
@@ -1167,17 +783,32 @@ impl ReactorApp for SessionApp {
             },
             Some(ConnState::Draining) => None,
             Some(ConnState::Established {
-                client, inbound, ..
+                client,
+                inbound,
+                parked,
+                ..
             }) => {
                 let client = *client;
                 match msg {
                     NetMsg::Msg(m) => {
-                        match inbound.try_send(SessionEvent::Msg(client, Box::new(m))) {
+                        let offered = match inbound.try_send(SessionEvent::Msg(client, Box::new(m)))
+                        {
+                            // Raise the park flag, then offer once more:
+                            // either the worker already made room (the
+                            // retry lands), or its next dequeue sees the
+                            // flag and nudges the loop.
+                            Err(TrySendError::Full(event)) => {
+                                parked.store(true, Ordering::SeqCst);
+                                inbound.try_send(event)
+                            }
+                            other => other,
+                        };
+                        match offered {
                             Ok(()) => None,
                             // Worker busy training: hand the frame back;
                             // the reactor parks it and stops reading this
-                            // connection — the event-driven form of the
-                            // threaded reader blocking on the full queue.
+                            // connection until the worker's nudge (or
+                            // the tick) retries it.
                             Err(TrySendError::Full(SessionEvent::Msg(_, m))) => {
                                 Some(NetMsg::Msg(*m))
                             }
@@ -1190,8 +821,8 @@ impl ReactorApp for SessionApp {
                             }
                         }
                     }
-                    // Anything else mid-session mirrors the threaded
-                    // reader: the connection is done.
+                    // Anything else mid-session: the connection is
+                    // done.
                     _ => {
                         ctx.close(conn);
                         None
@@ -1208,16 +839,21 @@ impl ReactorApp for SessionApp {
             epoch,
             inbound,
             conns,
+            parked,
         }) = self.conn_state.remove(&conn)
         {
             match inbound.try_send(SessionEvent::Gone(client, epoch)) {
                 Ok(()) => {}
-                Err(TrySendError::Full(_)) => self.pending_gone.push(PendingGone {
-                    inbound,
-                    client,
-                    epoch,
-                    conns,
-                }),
+                Err(TrySendError::Full(_)) => {
+                    // Retried on the worker's nudge, like a parked frame.
+                    parked.store(true, Ordering::SeqCst);
+                    self.pending_gone.push(PendingGone {
+                        inbound,
+                        client,
+                        epoch,
+                        conns,
+                    });
+                }
                 Err(TrySendError::Disconnected(_)) => {
                     let mut conns_l = conns.lock();
                     if conns_l.get(&client).is_some_and(|(e, _)| *e == epoch) {
@@ -1429,12 +1065,17 @@ fn replay_ledger(
 fn create_session(
     id: SessionId,
     config: &SessionConfig,
-    options: &ServerOptions,
-    registry: &Arc<Registry>,
-    authority: &dyn AuthorityConnector,
-    workers: &Arc<WorkerSet>,
-    shutdown: &Arc<AtomicBool>,
+    daemon: &Daemon,
 ) -> Result<SessionEntry, NetError> {
+    let Daemon {
+        options,
+        registry,
+        authority,
+        workers,
+        shutdown,
+        handle,
+    } = daemon;
+    let authority = authority.as_ref();
     if config.clients == 0 {
         return Err(NetError::Protocol(ProtocolError::InvalidConfig(
             "zero clients".into(),
@@ -1516,12 +1157,15 @@ fn create_session(
     };
     let (inbound_tx, inbound_rx) = std::sync::mpsc::sync_channel(options.queue_depth.max(1));
     let conns: Conns = Arc::new(Mutex::new(HashMap::new()));
+    let parked = Arc::new(AtomicBool::new(false));
     let ctx = WorkerCtx {
         id,
         config: config.clone(),
         conns: Arc::clone(&conns),
         registry: Arc::clone(registry),
         shutdown: Arc::clone(shutdown),
+        handle: handle.clone(),
+        parked: Arc::clone(&parked),
         durability,
     };
     workers.spawn(&format!("{id}-worker"), move || {
@@ -1533,6 +1177,7 @@ fn create_session(
         inbound: inbound_tx,
         conns,
         conn_epoch: Arc::new(AtomicU64::new(0)),
+        parked,
     })
 }
 
@@ -1544,6 +1189,8 @@ struct WorkerCtx {
     conns: Conns,
     registry: Arc<Registry>,
     shutdown: Arc<AtomicBool>,
+    handle: ReactorHandle,
+    parked: Arc<AtomicBool>,
     durability: Option<Durability>,
 }
 
@@ -1660,6 +1307,12 @@ fn session_worker(mut ctx: WorkerCtx, mut server: ServerSession, inbound: Receiv
                 return;
             }
         };
+        // The dequeue made room: if the loop parked a frame on this
+        // session's full queue, have it retried now rather than at the
+        // next tick.
+        if ctx.parked.swap(false, Ordering::SeqCst) {
+            ctx.handle.nudge();
+        }
         let result = match event {
             SessionEvent::Shutdown => {
                 {

@@ -1,10 +1,10 @@
 //! Fault-injected churn over the real daemon: clients dropped by a
 //! [`FaultyTransport`] mid-epoch rejoin through `run_client_resumable`
 //! and the session completes bit-identical to the uninterrupted
-//! in-process golden run — over the in-memory transport and over TCP —
-//! and a durable daemon killed mid-epoch is restarted and resumes its
-//! sessions from ledger + checkpoint to the same golden weights
-//! (DESIGN.md §14).
+//! in-process golden run — every connection a TCP loopback dial into
+//! the daemon's one admission path — and a durable daemon killed
+//! mid-epoch is restarted and resumes its sessions from ledger +
+//! checkpoint to the same golden weights (DESIGN.md §14).
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -104,6 +104,11 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
     }
 }
 
+/// Dials the daemon over TCP loopback.
+fn dial(server: &SessionServer) -> TcpTransport {
+    TcpTransport::connect(server.local_addr(), DEFAULT_MAX_FRAME).expect("loopback dial")
+}
+
 fn tempdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cryptonn-churn-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -111,14 +116,13 @@ fn tempdir(name: &str) -> PathBuf {
     dir
 }
 
-/// A scripted kill over the in-memory transport: client 1's connection
-/// dies after two encrypted batches crossed the wire mid-epoch; the
-/// resumable driver reconnects through `connect_mem`, the server's
-/// `Resume` barrier rewinds its cursor, and both members finish with
-/// the golden weights.
+/// A scripted kill: client 1's connection dies after two encrypted
+/// batches crossed the wire mid-epoch; the resumable driver redials,
+/// the server's `Resume` barrier rewinds its cursor, and both members
+/// finish with the golden weights.
 #[test]
-fn mem_transport_kill_rejoins_bit_identical_to_golden() {
-    let _watchdog = watchdog("mem_transport_kill_rejoins_bit_identical_to_golden");
+fn scripted_kill_rejoins_bit_identical_to_golden() {
+    let _watchdog = watchdog("scripted_kill_rejoins_bit_identical_to_golden");
     let data = clinic_dataset(24, 151);
     let config = resume_config(&data, 2, 2);
     let expected = golden(&config, &data);
@@ -137,7 +141,7 @@ fn mem_transport_kill_rejoins_bit_identical_to_golden() {
     let (steady, churned) = std::thread::scope(|s| {
         let steady = s.spawn(|| {
             run_client(
-                server.connect_mem(),
+                dial(&server),
                 session,
                 client_sm(&config, 0, shard0),
                 &config,
@@ -151,7 +155,7 @@ fn mem_transport_kill_rejoins_bit_identical_to_golden() {
                     } else {
                         FaultPlan::default()
                     };
-                    Ok(FaultyTransport::new(server.connect_mem(), plan))
+                    Ok(FaultyTransport::new(dial(&server), plan))
                 },
                 session,
                 client_sm(&config, 1, shard1),
@@ -177,11 +181,10 @@ fn mem_transport_kill_rejoins_bit_identical_to_golden() {
     server.shutdown();
 }
 
-/// Seeded-random churn over the in-memory transport: every frame
-/// boundary of the churning client may kill the connection (a fresh
-/// seed per attempt), yet the resumable driver always converges to the
-/// golden weights — the rewind is idempotent under arbitrary kill
-/// points.
+/// Seeded-random churn: every frame boundary of the churning client
+/// may kill the connection (a fresh seed per attempt), yet the
+/// resumable driver always converges to the golden weights — the
+/// rewind is idempotent under arbitrary kill points.
 #[test]
 fn seeded_random_kills_still_converge_to_golden() {
     let _watchdog = watchdog("seeded_random_kills_still_converge_to_golden");
@@ -203,7 +206,7 @@ fn seeded_random_kills_still_converge_to_golden() {
     let (steady, churned) = std::thread::scope(|s| {
         let steady = s.spawn(|| {
             run_client(
-                server.connect_mem(),
+                dial(&server),
                 session,
                 client_sm(&config, 0, shard0),
                 &config,
@@ -216,7 +219,7 @@ fn seeded_random_kills_still_converge_to_golden() {
                     // differs across reconnects but the whole scenario
                     // replays bit-identically run-to-run.
                     let plan = FaultPlan::random(9000 + u64::from(attempt), 0.04);
-                    Ok(FaultyTransport::new(server.connect_mem(), plan))
+                    Ok(FaultyTransport::new(dial(&server), plan))
                 },
                 session,
                 client_sm(&config, 1, shard1),
@@ -417,50 +420,6 @@ fn restarted_daemon_resumes_durable_sessions_to_completion() {
     authority.shutdown();
 }
 
-/// `connect_mem` and TCP loopback speak the same daemon: a plain
-/// (fault-free) in-memory session must match the golden run too, so
-/// the churn assertions above are isolating churn, not the transport.
-#[test]
-fn mem_transport_without_faults_matches_golden() {
-    let _watchdog = watchdog("mem_transport_without_faults_matches_golden");
-    let data = clinic_dataset(12, 153);
-    let config = resume_config(&data, 2, 1);
-    let expected = golden(&config, &data);
-    let server = SessionServer::start(
-        "127.0.0.1:0",
-        Arc::new(LocalAuthority),
-        ServerOptions::default(),
-    )
-    .expect("server binds");
-    let session = SessionId(23);
-    let summaries = std::thread::scope(|s| {
-        let handles: Vec<_> = round_robin_shards(&data, 3, 2)
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let config = &config;
-                let server = &server;
-                s.spawn(move || {
-                    run_client(
-                        server.connect_mem(),
-                        session,
-                        client_sm(config, i, shard),
-                        config,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect::<Vec<_>>()
-    });
-    for summary in summaries {
-        assert_eq!(summary.expect("mem client completes"), expected);
-    }
-    server.shutdown();
-}
-
 /// A member whose connection dies in the final stretch — even on the
 /// summary frame itself — may only rejoin *after* the session
 /// completed and left the live registry. The daemon answers from its
@@ -492,12 +451,7 @@ fn rejoin_after_completion_is_served_the_recorded_summary() {
                 let config = &config;
                 let server = &server;
                 s.spawn(move || {
-                    run_client(
-                        server.connect_mem(),
-                        session,
-                        client_sm(config, i, shard),
-                        config,
-                    )
+                    run_client(dial(server), session, client_sm(config, i, shard), config)
                 })
             })
             .collect();
@@ -515,7 +469,7 @@ fn rejoin_after_completion_is_served_the_recorded_summary() {
 
     // The late rejoiner: same id, same config, a fresh connection.
     let replay = run_client(
-        server.connect_mem(),
+        dial(&server),
         session,
         client_sm(&config, 1, late_shard.clone()),
         &config,
@@ -533,7 +487,7 @@ fn rejoin_after_completion_is_served_the_recorded_summary() {
     let mut other = resume_config(&data, 2, 1);
     other.model_seed += 1;
     let err = run_client(
-        server.connect_mem(),
+        dial(&server),
         session,
         client_sm(&other, 1, late_shard),
         &other,
@@ -571,7 +525,7 @@ fn rejoin_after_failure_is_rejected_with_the_verdict() {
     // EOF.)
     run_client(
         FaultyTransport::new(
-            server.connect_mem(),
+            dial(&server),
             FaultPlan {
                 kill_after_recvs: Some(1),
                 ..FaultPlan::default()
@@ -587,7 +541,7 @@ fn rejoin_after_failure_is_rejected_with_the_verdict() {
     });
 
     let err = run_client(
-        server.connect_mem(),
+        dial(&server),
         session,
         client_sm(&config, 0, shards[0].clone()),
         &config,

@@ -1,17 +1,18 @@
 //! The reactor front door at scale: ≥1024 *concurrent* predict
 //! connections on one loop thread, served bit-identically.
 //!
-//! The thread-per-connection [`InferenceServer`] would need 1024
-//! threads for this; the [`InferenceFleet`] holds every connection in
-//! one reactor slab. The acceptance property is threefold:
+//! The [`InferenceFleet`] holds every connection in one reactor slab —
+//! an idle connection costs a slab entry, not a thread. The acceptance
+//! property is twofold:
 //!
 //! 1. all 1024 handshakes complete and stay live *simultaneously*
 //!    (reactor peak ≥ 1024);
 //! 2. predictions served through the fleet are bit-identical to
-//!    in-process [`predict_encrypted`] on the same ciphertexts;
-//! 3. they are also bit-identical to the thread-per-connection
-//!    [`InferenceServer`] serving a trained twin — the two transports
-//!    are interchangeable frame-for-frame.
+//!    in-process [`predict_encrypted`] on the same ciphertexts.
+//!
+//! Also pinned here, on the bare [`Reactor`]: a worker's send-then-close
+//! delivers the whole frame to a peer that was not reading when the
+//! close was issued.
 //!
 //! [`predict_encrypted`]: cryptonn_core::CryptoMlp::predict_encrypted
 
@@ -21,8 +22,9 @@ use cryptonn_core::{Client, CryptoMlp, Objective};
 use cryptonn_data::clinic_dataset;
 use cryptonn_matrix::Matrix;
 use cryptonn_net::{
-    AuthorityOptions, AuthorityServer, FleetOptions, InferenceClient, InferenceFleet,
-    InferenceServer, InferenceServerOptions, RemoteAuthority, DEFAULT_MAX_FRAME,
+    AuthorityOptions, AuthorityServer, ConnId, FleetOptions, FrameRx, FrameTx, InferenceClient,
+    InferenceFleet, NetMsg, Reactor, ReactorApp, ReactorCtx, ReactorOptions, RemoteAuthority,
+    TcpTransport, DEFAULT_MAX_FRAME,
 };
 use cryptonn_protocol::{
     mlp_session_config, AuthoritySession, ClientId, InferenceOptions, MlpSpec, SessionConfig,
@@ -160,7 +162,7 @@ fn thousand_plus_concurrent_connections_serve_bit_identically() {
     drop(clients);
     fleet.shutdown();
 
-    // Reference A: in-process predict_encrypted on a trained twin with
+    // Reference: in-process predict_encrypted on a trained twin with
     // the per-client encryptor seeds — bit-identity end to end.
     let mut reference = trained_model(&config, &data);
     let ref_authority = AuthoritySession::new(&config);
@@ -185,42 +187,6 @@ fn thousand_plus_concurrent_connections_serve_bit_identically() {
         );
     }
 
-    // Reference B: the thread-per-connection server on another trained
-    // twin, same client ids and seeds — transport interchangeability.
-    let server = InferenceServer::start(
-        "127.0.0.1:0",
-        session,
-        &config,
-        trained_model(&config, &data),
-        Arc::new(RemoteAuthority::new(authority.local_addr())),
-        InferenceServerOptions {
-            session: InferenceOptions {
-                max_batch: 4,
-                key_cache: 256,
-            },
-            ..InferenceServerOptions::default()
-        },
-    )
-    .expect("threadpool inference server");
-    for (i, out) in &served {
-        let mut client = InferenceClient::connect(
-            server.local_addr(),
-            session,
-            ClientId(*i as u32),
-            &config,
-            9000 + *i as u64,
-            DEFAULT_MAX_FRAME,
-        )
-        .expect("threadpool client connects");
-        let via_threads = client
-            .predict(&input_for(*i, data.feature_dim()))
-            .expect("threadpool prediction");
-        assert_eq!(
-            out, &via_threads,
-            "fleet and thread-per-connection servers diverged on client {i}"
-        );
-    }
-    server.shutdown();
     authority.shutdown();
 }
 
@@ -340,4 +306,64 @@ fn shard_routing_is_deterministic_and_balanced() {
     }
     fleet.shutdown();
     authority.shutdown();
+}
+
+/// A bare reactor app for the close test: the first frame on a
+/// connection hands its id to the test, which then plays the worker.
+struct HandOff(std::sync::mpsc::Sender<ConnId>);
+
+impl ReactorApp for HandOff {
+    fn on_frame(&mut self, ctx: &mut ReactorCtx<'_>, conn: ConnId, _msg: NetMsg) -> Option<NetMsg> {
+        ctx.set_handshaken(conn);
+        let _ = self.0.send(conn);
+        None
+    }
+
+    fn on_closed(&mut self, _ctx: &mut ReactorCtx<'_>, _conn: ConnId) {}
+}
+
+/// A worker's send-then-close (the final `Summary`, a `Reject` verdict)
+/// must deliver the frame: the peer here reads nothing until a frame
+/// far larger than the loopback socket buffers *and* the close have
+/// both been issued, so the close finds most of the frame still queued
+/// — and the peer still receives all of it, then EOF.
+#[test]
+fn worker_close_flushes_a_blocked_final_frame_first() {
+    let _guard = watchdog("worker_close_flushes_a_blocked_final_frame_first");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("listener binds");
+    let (conn_tx, conn_rx) = std::sync::mpsc::channel();
+    let reactor = Reactor::start(listener, ReactorOptions::default(), |_| HandOff(conn_tx))
+        .expect("reactor starts");
+
+    let mut peer =
+        TcpTransport::connect(reactor.local_addr(), DEFAULT_MAX_FRAME).expect("peer connects");
+    peer.send(&NetMsg::Reject("go".into()))
+        .expect("peer speaks");
+    let conn = conn_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the loop saw the peer's frame");
+
+    let verdict = NetMsg::Reject("x".repeat(16 * 1024 * 1024));
+    let handle = reactor.handle();
+    handle.send(conn, &verdict).expect("frame encodes");
+    handle.close(conn);
+    // Give the loop time to take both commands while the peer is idle.
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    assert_eq!(
+        reactor.stats().live,
+        1,
+        "the frame must outsize the socket buffers, leaving the close to wait on the flush"
+    );
+
+    assert_eq!(
+        peer.recv().expect("the final frame arrives whole"),
+        Some(verdict)
+    );
+    assert_eq!(peer.recv().expect("then a clean close"), None);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while reactor.stats().live > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(reactor.stats().live, 0, "the flushed connection is closed");
+    reactor.shutdown();
 }

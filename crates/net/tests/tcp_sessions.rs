@@ -151,6 +151,46 @@ fn tcp_loopback_training_matches_in_process_runner_bitwise() {
     }
 }
 
+/// A one-slot session queue: with two clients streaming batches, the
+/// loop keeps finding the queue full, parks the frame, suspends that
+/// connection's reads, and retries on the worker's nudge — and the
+/// park/retry path must not reorder, drop, or duplicate a frame: the
+/// run is still bit-identical to the in-process golden.
+#[test]
+fn one_slot_session_queue_trains_bit_identical_to_golden() {
+    let _watchdog = watchdog("one_slot_session_queue_trains_bit_identical_to_golden");
+    let data = clinic_dataset(24, 43);
+    let config = small_config(&data, 2, 2);
+
+    let golden = TrainingSessionRunner::new(config.clone())
+        .run_mlp(&data)
+        .expect("in-process session runs")
+        .summary;
+
+    let (authority, server) = start_stack(ServerOptions {
+        queue_depth: 1,
+        ..ServerOptions::default()
+    });
+    let summaries = run_tcp_session(server.local_addr(), SessionId(8), &config, &data);
+    wait_until("the session to be recorded", || {
+        server.finished_sessions().len() == 1
+    });
+    assert_eq!(
+        server.finished_sessions()[0],
+        (SessionId(8), SessionOutcomeKind::Completed)
+    );
+    server.shutdown();
+    authority.shutdown();
+
+    for summary in summaries {
+        assert_eq!(
+            summary.expect("TCP client completes"),
+            golden,
+            "a parked-and-retried frame changed the training result"
+        );
+    }
+}
+
 /// S=4 simultaneous sessions × K=2 clients over one server/authority
 /// pair: every session finishes with the weights its own in-process
 /// run produces, and different workloads produce different weights

@@ -15,7 +15,7 @@ use cryptonn_fe::{ShareSpec, ThresholdSetup};
 use cryptonn_matrix::Matrix;
 use cryptonn_net::{
     connector_from_spec, run_client, run_client_resumable, run_inference_client, AuthorityOptions,
-    AuthorityServer, FaultPlan, FaultyTransport, InferenceServer, InferenceServerOptions, NetError,
+    AuthorityServer, FaultPlan, FaultyTransport, FleetOptions, InferenceFleet, NetError,
     RemoteAuthority, ServerOptions, SessionOutcomeKind, SessionServer, TcpTransport,
     ThresholdAuthority, DEFAULT_MAX_FRAME,
 };
@@ -113,6 +113,11 @@ fn tempdir(name: &str) -> PathBuf {
     dir
 }
 
+/// Dials the daemon over TCP loopback.
+fn dial(server: &SessionServer) -> TcpTransport {
+    TcpTransport::connect(server.local_addr(), DEFAULT_MAX_FRAME).expect("loopback dial")
+}
+
 /// Starts `n` share-holder daemons of a t-of-n deployment and a
 /// connector pointed at all of them.
 fn share_fleet(n: u32, t: u32) -> (Vec<AuthorityServer>, ThresholdAuthority) {
@@ -144,12 +149,7 @@ fn run_training(
                 let config = &config;
                 let server = &server;
                 s.spawn(move || {
-                    run_client(
-                        server.connect_mem(),
-                        session,
-                        client_sm(config, i, shard),
-                        config,
-                    )
+                    run_client(dial(server), session, client_sm(config, i, shard), config)
                 })
             })
             .collect();
@@ -275,7 +275,7 @@ fn losing_the_quorum_fails_closed_with_a_typed_error() {
     // A member coming back for the verdict is refused with the typed
     // quorum reason — the failure is explained, not just observed.
     let err = run_client(
-        server.connect_mem(),
+        dial(&server),
         SessionId(44),
         client_sm(&config, 0, round_robin_shards(&data, 3, 2)[0].clone()),
         &config,
@@ -292,7 +292,7 @@ fn losing_the_quorum_fails_closed_with_a_typed_error() {
 }
 
 /// Killing `n − t` share-holders mid-*serving*: predictions out of the
-/// inference daemon stay bit-identical to the in-process reference —
+/// inference fleet stay bit-identical to the in-process reference —
 /// the functional keys the surviving quorum recombines are the exact
 /// keys the single authority would have derived.
 #[test]
@@ -313,16 +313,16 @@ fn killing_a_node_mid_serving_keeps_predictions_bit_identical() {
 
     let (daemons, connector) = share_fleet(3, 2);
     let connector = connector.with_fault_plan(1, FaultPlan::kill_after_sends(4));
-    let server = InferenceServer::start(
+    let fleet = InferenceFleet::start(
         "127.0.0.1:0",
         SessionId(940),
         &config,
         model,
         Arc::new(connector),
-        InferenceServerOptions::default(),
+        FleetOptions::default(),
     )
-    .expect("inference server over the threshold fleet");
-    let addr = server.local_addr();
+    .expect("inference fleet over the threshold share-holders");
+    let addr = fleet.local_addr();
 
     let inputs: Vec<Matrix<f64>> = (0..5)
         .map(|i| {
@@ -333,7 +333,7 @@ fn killing_a_node_mid_serving_keeps_predictions_bit_identical() {
         .collect();
     let served = run_inference_client(addr, SessionId(940), ClientId(0), &config, 7100, &inputs, 2)
         .expect("serving completes despite the dead node");
-    server.shutdown();
+    fleet.shutdown();
     for d in daemons {
         d.shutdown();
     }

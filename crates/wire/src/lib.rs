@@ -29,7 +29,7 @@
 //!
 //! The format selector [`WireFormat::from_env`] reads `CRYPTONN_WIRE`
 //! (`binary` opts in; anything else keeps the seed JSON), mirroring
-//! the `CRYPTONN_TRANSPORT` idiom. [`FormatCell`] carries the
+//! the `CRYPTONN_FORCE_SCALAR` idiom. [`FormatCell`] carries the
 //! per-connection negotiated format between split transport halves.
 
 use std::collections::HashMap;
@@ -98,7 +98,7 @@ impl WireFormat {
     /// Resolves the process-default format from the `CRYPTONN_WIRE`
     /// environment variable: `binary` opts into the binary codec,
     /// anything else — including unset — keeps the seed JSON. Mirrors
-    /// the `CRYPTONN_TRANSPORT` / `CRYPTONN_FORCE_SCALAR` selectors.
+    /// the `CRYPTONN_FORCE_SCALAR` selector.
     pub fn from_env() -> Self {
         match std::env::var("CRYPTONN_WIRE").as_deref() {
             Ok("binary") => WireFormat::Binary,

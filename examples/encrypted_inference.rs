@@ -4,12 +4,12 @@
 //!
 //! 1. A training session runs in-process (the deterministic runner)
 //!    and yields the trained model.
-//! 2. The model is frozen behind an `InferenceServer`, with the
-//!    networked key authority as a separate daemon; the server wraps
-//!    its authority channel in a functional-key cache, so after the
-//!    first sweep serving is **authority-free**.
+//! 2. The model is frozen behind an `InferenceFleet`, with the
+//!    networked key authority as a separate daemon; the fleet's shards
+//!    share one functional-key cache over the authority channel, so
+//!    after the first sweep serving is **authority-free**.
 //! 3. Concurrent predict clients stream encrypted feature batches over
-//!    TCP loopback; the server coalesces in-flight requests into
+//!    TCP loopback; each shard coalesces in-flight requests into
 //!    shared secure sweeps and returns each client its predictions.
 //! 4. The served outputs are asserted **bit-identical** to in-process
 //!    `CryptoMlp::predict_encrypted` on the same ciphertexts.
@@ -23,8 +23,8 @@ use cryptonn_core::{Client, Objective};
 use cryptonn_data::clinic_dataset;
 use cryptonn_matrix::Matrix;
 use cryptonn_net::{
-    run_inference_client, AuthorityOptions, AuthorityServer, InferenceServer,
-    InferenceServerOptions, RemoteAuthority,
+    run_inference_client, AuthorityOptions, AuthorityServer, FleetOptions, InferenceFleet,
+    RemoteAuthority,
 };
 use cryptonn_protocol::{
     mlp_session_config, AuthoritySession, ClientId, InferenceOptions, MlpSpec, SessionId,
@@ -58,21 +58,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- phase 2: freeze and serve -----------------------------------
     let authority = AuthorityServer::start("127.0.0.1:0", AuthorityOptions::default())?;
     let session_id = SessionId(1);
-    let server = InferenceServer::start(
+    let fleet = InferenceFleet::start(
         "127.0.0.1:0",
         session_id,
         &config,
         model,
         Arc::new(RemoteAuthority::new(authority.local_addr())),
-        InferenceServerOptions {
+        FleetOptions {
             session: InferenceOptions {
                 max_batch: 4,
                 key_cache: 256,
             },
-            ..InferenceServerOptions::default()
+            ..FleetOptions::default()
         },
     )?;
-    let addr = server.local_addr();
+    let addr = fleet.local_addr();
     println!(
         "serving on {addr} (authority on {})",
         authority.local_addr()
@@ -98,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     &config,
                     500 + c as u64,
                     &inputs,
-                    2, // two requests in flight: lets the server coalesce
+                    2, // two requests in flight: lets a shard coalesce
                 )
                 .expect("serving completes")
             })
@@ -106,16 +106,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let served: Vec<Vec<Matrix<f64>>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
 
-    let stats = server.cache_stats();
+    let stats = fleet.cache_stats();
     println!(
         "served {} requests in {} sweeps; key cache: {} hits / {} misses ({:.0}% hit rate)",
-        server.served(),
-        server.sweeps(),
+        fleet.served(),
+        fleet.sweeps(),
         stats.hits,
         stats.misses,
         stats.hit_rate() * 100.0
     );
-    server.shutdown();
+    fleet.shutdown();
     authority.shutdown();
 
     // --- phase 4: the served outputs are the in-process outputs ------
