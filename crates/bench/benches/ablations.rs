@@ -218,9 +218,9 @@ fn exponentiation(c: &mut Criterion) {
 
 /// Naive one-pow-per-term decryption vs the Straus/wNAF multi-scalar
 /// path (DESIGN.md §10), on a dim-784 FEIP `Decrypt` at the paper's
-/// `Bits256` setting — the perf-trajectory arm for the decrypt fast
-/// path (acceptance ≥ 5× on the batched `secure_dot` cell loop, gated
-/// at ≥ 2× in CI by the `server_decrypt` telemetry bin).
+/// `Bits256` setting — the ablation arm for the decrypt fast path (the
+/// benchmark carries the production number as
+/// `group.multi_scalar_cell_us_d784`).
 fn multi_scalar_decrypt(c: &mut Criterion) {
     // Fixed at Bits256 regardless of CRYPTONN_BENCH_FULL: the
     // acceptance criterion is defined at the paper's setting.

@@ -87,58 +87,6 @@ pub fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Host provenance stamped into every telemetry JSON: perf numbers are
-/// meaningless without the machine that produced them.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct HostInfo {
-    /// Detected SIMD/ISA extensions relevant to the bigint kernels.
-    pub cpu_flags: Vec<String>,
-    /// `std::thread::available_parallelism()` at bench time.
-    pub cores: usize,
-    /// `rustc --version` of the toolchain that built the harness.
-    pub rustc: String,
-    /// Which lane-batched Montgomery kernel the calibration pinned
-    /// (`avx2` or `scalar`) — see `cryptonn_bigint::lanes`.
-    pub mont_kernel: String,
-}
-
-/// Probes the host once; cheap enough to call per run.
-pub fn host_info() -> HostInfo {
-    #[allow(unused_mut)]
-    let mut cpu_flags = Vec::new();
-    #[cfg(target_arch = "x86_64")]
-    for flag in ["sse4.2", "avx", "avx2", "bmi2", "adx", "avx512f"] {
-        let detected = match flag {
-            "sse4.2" => std::arch::is_x86_feature_detected!("sse4.2"),
-            "avx" => std::arch::is_x86_feature_detected!("avx"),
-            "avx2" => std::arch::is_x86_feature_detected!("avx2"),
-            "bmi2" => std::arch::is_x86_feature_detected!("bmi2"),
-            "adx" => std::arch::is_x86_feature_detected!("adx"),
-            "avx512f" => std::arch::is_x86_feature_detected!("avx512f"),
-            _ => false,
-        };
-        if detected {
-            cpu_flags.push(flag.to_string());
-        }
-    }
-    let rustc =
-        std::process::Command::new(std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string()))
-            .arg("--version")
-            .output()
-            .ok()
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .unwrap_or_else(|| "unknown".to_string());
-    HostInfo {
-        cpu_flags,
-        cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        rustc,
-        mont_kernel: cryptonn_bigint::kernel_name().to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -364,8 +364,7 @@ pub fn decrypt_ratio(
 
 /// The pre-multi-scalar reference decryption: a full-width
 /// exponentiation for `×` and an eager inversion per cell. Kept public
-/// as the baseline arm of the `server_decrypt` telemetry and the
-/// equivalence property tests.
+/// as the reference arm of the equivalence property tests.
 ///
 /// # Errors
 ///
@@ -399,24 +398,6 @@ pub fn decrypt_raw_naive(
         }
     };
     Ok(raw)
-}
-
-/// Reference `Decrypt` on top of [`decrypt_raw_naive`] — the "naive" arm
-/// of the decrypt ablations.
-///
-/// # Errors
-///
-/// As [`decrypt`].
-pub fn decrypt_naive(
-    mpk: &FeboPublicKey,
-    sk: &FeboFunctionKey,
-    ct: &FeboCiphertext,
-    op: BasicOp,
-    y: i64,
-    table: &DlogTable,
-) -> Result<i64, FeError> {
-    let raw = decrypt_raw_naive(mpk, sk, ct, op, y)?;
-    Ok(table.solve(&mpk.group, &raw)?)
 }
 
 /// `Decrypt(mpk, sk_fΔ, ct, Δ, y)`: recovers `x Δ y` as a signed integer

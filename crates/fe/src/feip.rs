@@ -427,7 +427,7 @@ pub fn decrypt_ratio(
 
 /// The pre-multi-scalar reference decryption: one full-width
 /// exponentiation per nonzero `yᵢ`. Kept public as the baseline arm of
-/// the `server_decrypt` telemetry and the equivalence property tests;
+/// the decrypt ablation bench and the equivalence property tests;
 /// production callers use [`decrypt_raw`].
 ///
 /// # Errors

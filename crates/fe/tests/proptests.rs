@@ -5,7 +5,7 @@ use cryptonn_fe::{febo, feip, BasicOp, KeyAuthority, PermittedFunctions};
 use cryptonn_group::{DlogTable, SchnorrGroup, SecurityLevel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use std::sync::OnceLock;
 
 fn group() -> &'static SchnorrGroup {
@@ -92,14 +92,65 @@ proptest! {
 /// Every embedded security level — the multi-scalar ≡ naive equivalence
 /// must hold at each one (different moduli exercise different carry and
 /// reduction paths).
-const ALL_LEVELS: [SecurityLevel; 6] = [
+const ALL_LEVELS: [SecurityLevel; 7] = [
     SecurityLevel::Bits32,
     SecurityLevel::Bits64,
     SecurityLevel::Bits128,
     SecurityLevel::Bits192,
     SecurityLevel::Bits224,
     SecurityLevel::Bits256,
+    SecurityLevel::Bits256Fast,
 ];
+
+/// The paper's first-layer geometry (dim-784 rows, two-decimal
+/// fixed-point operands): the production batched sweep — shared
+/// recodings, lane kernels, one batched inversion — recovers every cell
+/// bit-identically to the naive one-pow-per-term reference and to the
+/// plaintext inner product, at the levels the serving path runs at.
+#[test]
+fn feip_batched_cells_equal_naive_at_paper_geometry() {
+    const DIM: usize = 784;
+    let mut rng = StdRng::seed_from_u64(901);
+    let mut draw = || -> Vec<i64> { (0..DIM).map(|_| rng.random_range(-100..=100)).collect() };
+    let xs = [draw(), draw()];
+    let ys = [draw(), draw()];
+    let rows: Vec<&[i64]> = ys.iter().map(Vec::as_slice).collect();
+    for level in [
+        SecurityLevel::Bits64,
+        SecurityLevel::Bits256,
+        SecurityLevel::Bits256Fast,
+    ] {
+        let mut rng = StdRng::seed_from_u64(902);
+        let g = SchnorrGroup::precomputed(level);
+        let table = DlogTable::new(&g, 100 * 100 * DIM as u64);
+        let (mpk, msk) = feip::setup(g.clone(), DIM, &mut rng);
+        let cts: Vec<_> = xs
+            .iter()
+            .map(|x| feip::encrypt(&mpk, x, &mut rng).unwrap())
+            .collect();
+        let keys: Vec<_> = ys
+            .iter()
+            .map(|y| feip::key_derive(&g, &msk, y).unwrap())
+            .collect();
+        let cells = feip::decrypt_cells(
+            &mpk,
+            &cts,
+            &keys,
+            &rows,
+            &table,
+            cryptonn_parallel::Parallelism::Threads(2),
+        )
+        .unwrap();
+        for (c, (ct, x)) in cts.iter().zip(&xs).enumerate() {
+            for (r, y) in ys.iter().enumerate() {
+                let plain: i64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
+                let naive = feip::decrypt_naive(&mpk, ct, &keys[r], y, &table).unwrap();
+                assert_eq!(cells[c * ys.len() + r], naive, "{level:?} cell ({c},{r})");
+                assert_eq!(naive, plain, "{level:?} cell ({c},{r})");
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]

@@ -540,9 +540,9 @@ impl ThresholdAuthority {
         }
     }
 
-    /// Parses a `t=2@host:port,host:port,…` deployment spec (the
-    /// `CRYPTONN_AUTHORITY` format): the quorum threshold, then the
-    /// share-holder addresses; `n` is the address count.
+    /// Parses a `t=2@host:port,host:port,…` deployment spec: the
+    /// quorum threshold, then the share-holder addresses; `n` is the
+    /// address count.
     ///
     /// # Errors
     ///
@@ -615,21 +615,6 @@ pub fn connector_from_spec(spec: &str) -> Result<Arc<dyn AuthorityConnector>, Ne
         ))
     })?;
     Ok(Arc::new(RemoteAuthority::new(addr)))
-}
-
-/// Builds the connector named by the `CRYPTONN_AUTHORITY` environment
-/// variable (see [`connector_from_spec`] for the accepted forms),
-/// falling back to a single [`RemoteAuthority`] at `default` when the
-/// variable is unset.
-///
-/// # Errors
-///
-/// [`NetError::Malformed`] when the variable is set but unparseable.
-pub fn connector_from_env(default: SocketAddr) -> Result<Arc<dyn AuthorityConnector>, NetError> {
-    match std::env::var("CRYPTONN_AUTHORITY") {
-        Ok(spec) => connector_from_spec(&spec),
-        Err(_) => Ok(Arc::new(RemoteAuthority::new(default))),
-    }
 }
 
 impl AuthorityConnector for ThresholdAuthority {

@@ -127,8 +127,7 @@ impl InferenceClient {
         self.send_encrypted(batch)
     }
 
-    /// Sends an already-encrypted feature batch (the bench path, which
-    /// pre-encrypts outside the timed loop).
+    /// Sends an already-encrypted feature batch.
     ///
     /// # Errors
     ///
@@ -178,11 +177,6 @@ impl InferenceClient {
             return Err(NetError::UnexpectedFrame("prediction for a different id"));
         }
         Ok(p.outputs)
-    }
-
-    /// The encryptor's quantization (for callers pre-encrypting).
-    pub fn encryptor_mut(&mut self) -> &mut cryptonn_core::Client {
-        &mut self.encryptor
     }
 }
 

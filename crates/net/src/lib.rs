@@ -129,8 +129,8 @@ pub mod transport;
 mod error;
 
 pub use authority::{
-    connector_from_env, connector_from_spec, AuthorityConnector, AuthorityOptions, AuthorityServer,
-    LocalAuthority, RemoteAuthority, TcpShareClient, ThresholdAuthority,
+    connector_from_spec, AuthorityConnector, AuthorityOptions, AuthorityServer, LocalAuthority,
+    RemoteAuthority, TcpShareClient, ThresholdAuthority,
 };
 pub use client::{run_client, run_client_resumable};
 pub use codec::{FrameDecoder, OutboundQueue, WriteProgress};

@@ -34,13 +34,14 @@
 //!   actually consumed, and (with re-sharding enabled) a stalled
 //!   schedule is re-cut onto the survivors;
 //! - **durability** — with [`ServerOptions::durability`] set, every
-//!   inbound event is appended to a per-session write-ahead JSONL
-//!   ledger *before* it is processed, and the trained state is
-//!   checkpointed at a step cadence (DESIGN.md §14). A restarted
-//!   daemon finding a ledger for a resumable session restores the
-//!   latest checkpoint, replays only the ledger suffix, and continues
-//!   — bit-identical to a run that never crashed. Completed sessions
-//!   delete their ledger and checkpoint; failed ones keep both.
+//!   inbound event is appended to a per-session write-ahead ledger
+//!   (length-prefixed binary records) *before* it is processed, and
+//!   the trained state is checkpointed at a step cadence (DESIGN.md
+//!   §14). A restarted daemon finding a ledger for a resumable session
+//!   restores the latest checkpoint, replays only the ledger suffix,
+//!   and continues — bit-identical to a run that never crashed.
+//!   Completed sessions delete their ledger and checkpoint; failed
+//!   ones keep both.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -65,7 +66,6 @@ use crate::error::NetError;
 use crate::framing::DEFAULT_MAX_FRAME;
 use crate::reactor::{ConnId, Reactor, ReactorApp, ReactorCtx, ReactorHandle, ReactorOptions};
 use crate::transport::{FrameTx, Hello, NetMsg, Peer};
-use cryptonn_wire::WireFormat;
 
 /// Tuning for the session server.
 #[derive(Debug, Clone)]
@@ -91,14 +91,6 @@ pub struct ServerOptions {
     /// Checkpoints are cut only at clean points (empty reorder buffer),
     /// so an eligible step may checkpoint slightly late.
     pub checkpoint_every_steps: u64,
-    /// The wire format this daemon *writes* for its durable state
-    /// (ledger, checkpoints): seed JSON or the binary codec. The
-    /// default follows the `CRYPTONN_WIRE` environment variable.
-    /// Reading always sniffs, so a daemon restarted under the other
-    /// format resumes old files and rewrites them in its own.
-    /// (Connection traffic is unaffected — each connection mirrors its
-    /// peer regardless of this knob.)
-    pub wire: WireFormat,
 }
 
 impl Default for ServerOptions {
@@ -111,7 +103,6 @@ impl Default for ServerOptions {
             table_cache: None,
             durability: None,
             checkpoint_every_steps: 8,
-            wire: WireFormat::from_env(),
         }
     }
 }
@@ -180,14 +171,29 @@ type Conns = Arc<Mutex<HashMap<ClientId, (u64, Box<dyn FrameTx>)>>>;
 
 struct SessionEntry {
     config: SessionConfig,
-    params: PublicParams,
+    /// The `PublicParams` reply every admitted member is sent, built
+    /// once so a join borrows it instead of cloning the parameters.
+    params_reply: NetMsg,
     inbound: SyncSender<SessionEvent>,
     conns: Conns,
-    conn_epoch: Arc<AtomicU64>,
+    conn_epoch: AtomicU64,
     /// Raised by the loop when this session's full queue made it park
     /// a frame (or a `Gone` notice); the worker lowers it on its next
     /// dequeue and nudges the loop to retry.
     parked: Arc<AtomicBool>,
+}
+
+impl SessionEntry {
+    /// The worker is gone, so no `Gone` notice can reach it: drop this
+    /// connection epoch's writer directly if it is still registered.
+    fn drop_writer(&self, client: ClientId, epoch: u64) {
+        let mut conns = self.conns.lock();
+        if conns.get(&client).is_some_and(|(e, _)| *e == epoch) {
+            if let Some((_, mut tx)) = conns.remove(&client) {
+                tx.close();
+            }
+        }
+    }
 }
 
 /// A registry slot. `Creating` reserves the id (and pins the config)
@@ -196,10 +202,9 @@ struct SessionEntry {
 /// other session's handshake.
 enum Slot {
     Creating { config: SessionConfig },
-    // Boxed: a handful of sessions exist, while the variant size gap
-    // (PublicParams dominates SessionEntry) would otherwise inflate
-    // every map slot.
-    Ready(Box<SessionEntry>),
+    // Shared: admission clones the handle out from under the registry
+    // lock, and every registered connection keeps one.
+    Ready(Arc<SessionEntry>),
 }
 
 #[derive(Default)]
@@ -367,9 +372,7 @@ enum ConnState {
     Established {
         client: ClientId,
         epoch: u64,
-        inbound: SyncSender<SessionEvent>,
-        conns: Conns,
-        parked: Arc<AtomicBool>,
+        entry: Arc<SessionEntry>,
     },
     /// Served a recorded summary; inbound frames are ignored until the
     /// peer hangs up — closing a socket with the client's
@@ -390,10 +393,9 @@ struct WaitingConn {
 /// tick and nudge until delivered (it must not be lost — the worker's churn
 /// accounting depends on it).
 struct PendingGone {
-    inbound: SyncSender<SessionEvent>,
+    entry: Arc<SessionEntry>,
     client: ClientId,
     epoch: u64,
-    conns: Conns,
 }
 
 /// What every session of one daemon shares: the loop admits against
@@ -424,26 +426,6 @@ struct SessionApp {
     /// authority) and tiny; one may linger if every waiter died first.
     creation_errors: Arc<Mutex<HashMap<SessionId, String>>>,
     pending_gone: Vec<PendingGone>,
-}
-
-/// The per-session handles a connection registers against, cloned out
-/// of a `Ready` slot.
-type EntryHandles = (
-    SyncSender<SessionEvent>,
-    Conns,
-    PublicParams,
-    Arc<AtomicU64>,
-    Arc<AtomicBool>,
-);
-
-fn entry_handles(entry: &SessionEntry) -> EntryHandles {
-    (
-        entry.inbound.clone(),
-        Arc::clone(&entry.conns),
-        entry.params.clone(),
-        Arc::clone(&entry.conn_epoch),
-        Arc::clone(&entry.parked),
-    )
 }
 
 /// Sends the verdict, then drops the line once it flushes.
@@ -522,7 +504,7 @@ impl SessionApp {
         // Decide under the registry lock, act after: the lock is never
         // held across a send or a spawn.
         enum Step {
-            Join(Box<EntryHandles>),
+            Join(Arc<SessionEntry>),
             Wait,
             Create,
             Refuse(String),
@@ -537,7 +519,7 @@ impl SessionApp {
                             hello.session
                         ))
                     } else {
-                        Step::Join(Box::new(entry_handles(entry)))
+                        Step::Join(Arc::clone(entry))
                     }
                 }
                 Some(Slot::Creating { config }) => {
@@ -566,7 +548,7 @@ impl SessionApp {
             }
         };
         match step {
-            Step::Join(handles) => self.register(ctx, conn, client, &hello, *handles),
+            Step::Join(entry) => self.register(ctx, conn, client, &hello, entry),
             Step::Wait => self.waiting.push(WaitingConn { conn, hello, since }),
             Step::Create => {
                 self.spawn_creator(hello.session, hello.config.clone());
@@ -599,7 +581,7 @@ impl SessionApp {
                         if daemon.shutdown.load(Ordering::SeqCst) {
                             drop(entry);
                         } else {
-                            live.insert(session, Slot::Ready(Box::new(entry)));
+                            live.insert(session, Slot::Ready(Arc::new(entry)));
                         }
                     }
                     Err(e) => {
@@ -628,11 +610,10 @@ impl SessionApp {
         conn: ConnId,
         client: ClientId,
         hello: &Hello,
-        handles: EntryHandles,
+        entry: Arc<SessionEntry>,
     ) {
-        let (inbound, conns, params, conn_epoch, parked) = handles;
         let epoch = {
-            let mut conns_l = conns.lock();
+            let mut conns_l = entry.conns.lock();
             if conns_l.contains_key(&client) {
                 // A second connection for a registered client: a rejoin
                 // under a resume policy, a duplicate to refuse otherwise.
@@ -652,11 +633,8 @@ impl SessionApp {
                     old.close();
                 }
             }
-            let epoch = conn_epoch.fetch_add(1, Ordering::SeqCst);
-            if ctx
-                .send(conn, &NetMsg::Msg(WireMessage::PublicParams(params)))
-                .is_err()
-            {
+            let epoch = entry.conn_epoch.fetch_add(1, Ordering::SeqCst);
+            if ctx.send(conn, &entry.params_reply).is_err() {
                 // Outbound bound hit before registration: the conn is
                 // already being torn down, and was never in `conns`.
                 ctx.close(conn);
@@ -680,9 +658,7 @@ impl SessionApp {
             ConnState::Established {
                 client,
                 epoch,
-                inbound,
-                conns,
-                parked,
+                entry,
             },
         );
         ctx.set_handshaken(conn);
@@ -695,7 +671,7 @@ impl SessionApp {
             return;
         }
         enum Next {
-            Join(Box<EntryHandles>),
+            Join(Arc<SessionEntry>),
             Wait,
             Gone,
         }
@@ -703,17 +679,17 @@ impl SessionApp {
             let next = {
                 let live = self.daemon.registry.live.lock();
                 match live.get(&w.hello.session) {
-                    Some(Slot::Ready(entry)) => Next::Join(Box::new(entry_handles(entry))),
+                    Some(Slot::Ready(entry)) => Next::Join(Arc::clone(entry)),
                     Some(Slot::Creating { .. }) => Next::Wait,
                     None => Next::Gone,
                 }
             };
             match next {
-                Next::Join(handles) => {
+                Next::Join(entry) => {
                     let Peer::Client(client) = w.hello.peer else {
                         continue;
                     };
-                    self.register(ctx, w.conn, client, &w.hello, *handles);
+                    self.register(ctx, w.conn, client, &w.hello, entry);
                 }
                 Next::Wait => {
                     if Instant::now() >= w.since + SETUP_DEADLINE {
@@ -741,22 +717,24 @@ impl SessionApp {
 
     fn flush_pending_gone(&mut self) {
         self.pending_gone.retain_mut(|g| {
-            match g.inbound.try_send(SessionEvent::Gone(g.client, g.epoch)) {
+            let gone = SessionEvent::Gone(g.client, g.epoch);
+            match g.entry.inbound.try_send(gone) {
                 Ok(()) => false,
                 Err(TrySendError::Full(_)) => true,
                 Err(TrySendError::Disconnected(_)) => {
-                    // Worker already gone; just drop our own epoch's
-                    // writer if it is still registered.
-                    let mut conns = g.conns.lock();
-                    if conns.get(&g.client).is_some_and(|(e, _)| *e == g.epoch) {
-                        if let Some((_, mut tx)) = conns.remove(&g.client) {
-                            tx.close();
-                        }
-                    }
+                    g.entry.drop_writer(g.client, g.epoch);
                     false
                 }
             }
         });
+    }
+
+    /// The retry pass shared by the tick and the nudge: parked `Hello`s
+    /// against the registry, undelivered `Gone` notices against their
+    /// queues.
+    fn retry_parked(&mut self, ctx: &mut ReactorCtx<'_>) {
+        self.settle_waiting(ctx);
+        self.flush_pending_gone();
     }
 }
 
@@ -782,24 +760,19 @@ impl ReactorApp for SessionApp {
                 }
             },
             Some(ConnState::Draining) => None,
-            Some(ConnState::Established {
-                client,
-                inbound,
-                parked,
-                ..
-            }) => {
+            Some(ConnState::Established { client, entry, .. }) => {
                 let client = *client;
                 match msg {
                     NetMsg::Msg(m) => {
-                        let offered = match inbound.try_send(SessionEvent::Msg(client, Box::new(m)))
-                        {
+                        let event = SessionEvent::Msg(client, Box::new(m));
+                        let offered = match entry.inbound.try_send(event) {
                             // Raise the park flag, then offer once more:
                             // either the worker already made room (the
                             // retry lands), or its next dequeue sees the
                             // flag and nudges the loop.
                             Err(TrySendError::Full(event)) => {
-                                parked.store(true, Ordering::SeqCst);
-                                inbound.try_send(event)
+                                entry.parked.store(true, Ordering::SeqCst);
+                                entry.inbound.try_send(event)
                             }
                             other => other,
                         };
@@ -837,43 +810,31 @@ impl ReactorApp for SessionApp {
         if let Some(ConnState::Established {
             client,
             epoch,
-            inbound,
-            conns,
-            parked,
+            entry,
         }) = self.conn_state.remove(&conn)
         {
-            match inbound.try_send(SessionEvent::Gone(client, epoch)) {
+            match entry.inbound.try_send(SessionEvent::Gone(client, epoch)) {
                 Ok(()) => {}
                 Err(TrySendError::Full(_)) => {
                     // Retried on the worker's nudge, like a parked frame.
-                    parked.store(true, Ordering::SeqCst);
+                    entry.parked.store(true, Ordering::SeqCst);
                     self.pending_gone.push(PendingGone {
-                        inbound,
+                        entry,
                         client,
                         epoch,
-                        conns,
                     });
                 }
-                Err(TrySendError::Disconnected(_)) => {
-                    let mut conns_l = conns.lock();
-                    if conns_l.get(&client).is_some_and(|(e, _)| *e == epoch) {
-                        if let Some((_, mut tx)) = conns_l.remove(&client) {
-                            tx.close();
-                        }
-                    }
-                }
+                Err(TrySendError::Disconnected(_)) => entry.drop_writer(client, epoch),
             }
         }
     }
 
     fn on_tick(&mut self, ctx: &mut ReactorCtx<'_>) {
-        self.settle_waiting(ctx);
-        self.flush_pending_gone();
+        self.retry_parked(ctx);
     }
 
     fn on_nudge(&mut self, ctx: &mut ReactorCtx<'_>) {
-        self.settle_waiting(ctx);
-        self.flush_pending_gone();
+        self.retry_parked(ctx);
     }
 }
 
@@ -888,14 +849,11 @@ struct Durability {
     /// next checkpoint records.
     events: u64,
     last_checkpoint_step: u64,
-    /// The format appended records are written in (the whole file is
-    /// one format — resume rewrites it in the daemon's configured one).
-    wire: WireFormat,
 }
 
 impl Durability {
     fn append(&mut self, line: &LedgerLine) -> Result<(), NetError> {
-        write_ledger_line(&mut self.ledger, line, self.wire)?;
+        write_ledger_line(&mut self.ledger, line)?;
         self.ledger.flush().map_err(NetError::from)?;
         self.events += 1;
         Ok(())
@@ -909,50 +867,31 @@ impl Durability {
 }
 
 fn ledger_path(dir: &Path, id: SessionId) -> PathBuf {
-    dir.join(format!("{id}.ledger.jsonl"))
+    dir.join(format!("{id}.ledger"))
 }
 
-/// The file magic opening a binary (v2) ledger. A v1 ledger is bare
-/// JSONL — its first byte is `{` — so the two are told apart by the
-/// first eight bytes, exactly like frame payloads are sniffed.
-const LEDGER_MAGIC_V2: [u8; 8] = *b"CNNWAL02";
+/// The file magic opening every ledger; a file without it is alien.
+const LEDGER_MAGIC: [u8; 8] = *b"CNNWAL02";
 
-/// Appends one ledger record in `wire` format: a JSON line (v1) or a
-/// `u32`-LE-length-prefixed binary payload (v2).
-fn write_ledger_line(
-    file: &mut impl std::io::Write,
-    line: &LedgerLine,
-    wire: WireFormat,
-) -> Result<(), NetError> {
-    match wire {
-        WireFormat::Json => {
-            let json = serde_json::to_string(line)
-                .map_err(|e| NetError::Io(format!("ledger encode failed: {e}")))?;
-            writeln!(file, "{json}").map_err(NetError::from)
-        }
-        WireFormat::Binary => {
-            let payload = cryptonn_wire::to_vec(line)
-                .map_err(|e| NetError::Io(format!("ledger encode failed: {e}")))?;
-            let len = u32::try_from(payload.len())
-                .map_err(|_| NetError::Io("ledger record overflows its length prefix".into()))?;
-            file.write_all(&len.to_le_bytes())?;
-            file.write_all(&payload).map_err(NetError::from)
-        }
-    }
+/// Appends one ledger record: a `u32`-LE-length-prefixed binary
+/// payload.
+fn write_ledger_line(file: &mut impl std::io::Write, line: &LedgerLine) -> Result<(), NetError> {
+    let payload = cryptonn_wire::to_vec(line)
+        .map_err(|e| NetError::Io(format!("ledger encode failed: {e}")))?;
+    let len = u32::try_from(payload.len())
+        .map_err(|_| NetError::Io("ledger record overflows its length prefix".into()))?;
+    file.write_all(&len.to_le_bytes())?;
+    file.write_all(&payload).map_err(NetError::from)
 }
 
-/// Reads a session ledger back: sniffs the schema by the leading
-/// bytes, checks the `Config` header against the presented config, and
-/// returns the event lines. A torn final record (a crash mid-append)
-/// is dropped; torn or alien content anywhere else — or a mismatched
-/// config — rejects the whole ledger (`None`).
+/// Reads a session ledger back: checks the file magic and the `Config`
+/// header against the presented config, and returns the event lines.
+/// A torn final record (a crash mid-append) is dropped; a missing
+/// magic, torn or alien content anywhere else — or a mismatched config
+/// — rejects the whole ledger (`None`).
 fn read_ledger(path: &Path, config: &SessionConfig) -> Option<Vec<LedgerLine>> {
     let bytes = std::fs::read(path).ok()?;
-    let lines = if bytes.starts_with(&LEDGER_MAGIC_V2) {
-        parse_ledger_v2(&bytes[LEDGER_MAGIC_V2.len()..])?
-    } else {
-        parse_ledger_v1(&bytes)?
-    };
+    let lines = parse_ledger(bytes.strip_prefix(&LEDGER_MAGIC)?)?;
     let (first, rest) = lines.split_first()?;
     match first {
         LedgerLine::Config(c) if *c == *config => {}
@@ -964,24 +903,9 @@ fn read_ledger(path: &Path, config: &SessionConfig) -> Option<Vec<LedgerLine>> {
     Some(rest.to_vec())
 }
 
-/// The seed JSONL schema: one JSON record per line.
-fn parse_ledger_v1(bytes: &[u8]) -> Option<Vec<LedgerLine>> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    let lines: Vec<&str> = text.lines().collect();
-    let mut out = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        match serde_json::from_str::<LedgerLine>(line) {
-            Ok(event) => out.push(event),
-            Err(_) if i + 1 == lines.len() => break, // torn tail
-            Err(_) => return None,
-        }
-    }
-    Some(out)
-}
-
-/// The binary schema (past the file magic): `u32`-LE-length-prefixed
-/// binary payloads, back to back.
-fn parse_ledger_v2(mut rest: &[u8]) -> Option<Vec<LedgerLine>> {
+/// The records past the file magic: `u32`-LE-length-prefixed binary
+/// payloads, back to back.
+fn parse_ledger(mut rest: &[u8]) -> Option<Vec<LedgerLine>> {
     let mut out = Vec::new();
     while !rest.is_empty() {
         if rest.len() < 4 {
@@ -1098,7 +1022,7 @@ fn create_session(
         }
         Some(dir) => {
             std::fs::create_dir_all(dir)?;
-            let store = CheckpointStore::new(dir.clone()).with_format(options.wire);
+            let store = CheckpointStore::new(dir.clone());
             let path = ledger_path(dir, id);
             let recorded = if config.policy.resumes() {
                 read_ledger(&path, config)
@@ -1130,17 +1054,12 @@ fn create_session(
             };
             // Rewrite the ledger from its parsed form: identical
             // content, but a torn tail record (if any) is gone, so
-            // appends always start on a fresh record — and the rewrite
-            // lands in *this* daemon's configured format, which is how
-            // a v1 JSONL ledger migrates to binary (and back) across a
-            // restart with no translation step.
+            // appends always start on a fresh record.
             let mut file = std::fs::File::create(&path)?;
-            if options.wire == WireFormat::Binary {
-                file.write_all(&LEDGER_MAGIC_V2)?;
-            }
-            write_ledger_line(&mut file, &LedgerLine::Config(config.clone()), options.wire)?;
+            file.write_all(&LEDGER_MAGIC)?;
+            write_ledger_line(&mut file, &LedgerLine::Config(config.clone()))?;
             for line in &events {
-                write_ledger_line(&mut file, line, options.wire)?;
+                write_ledger_line(&mut file, line)?;
             }
             file.flush()?;
             let durability = Durability {
@@ -1150,7 +1069,6 @@ fn create_session(
                 every_steps: options.checkpoint_every_steps.max(1),
                 events: events.len() as u64,
                 last_checkpoint_step: server.steps(),
-                wire: options.wire,
             };
             (server, params, Some(durability))
         }
@@ -1173,10 +1091,10 @@ fn create_session(
     });
     Ok(SessionEntry {
         config: config.clone(),
-        params,
+        params_reply: NetMsg::Msg(WireMessage::PublicParams(params)),
         inbound: inbound_tx,
         conns,
-        conn_epoch: Arc::new(AtomicU64::new(0)),
+        conn_epoch: AtomicU64::new(0),
         parked,
     })
 }

@@ -244,7 +244,9 @@ fn seeded_random_kills_still_converge_to_golden() {
 /// from its checkpoint plus the ledger suffix; the other — checkpoint
 /// deleted to model a corrupt/lost file — replays its whole ledger
 /// from offset zero. Both complete bit-identical to their golden runs
-/// and their durable state is reclaimed.
+/// and their durable state is reclaimed. Daemon A also finds a stale
+/// JSONL (v1) ledger under one id: without the `CNNWAL02` magic it is
+/// alien, so the session starts fresh instead of "resuming" it.
 #[test]
 fn restarted_daemon_resumes_durable_sessions_to_completion() {
     let _watchdog = watchdog("restarted_daemon_resumes_durable_sessions_to_completion");
@@ -284,6 +286,15 @@ fn restarted_daemon_resumes_durable_sessions_to_completion() {
         .iter()
         .map(|(_, data, config)| golden(config, data))
         .collect();
+    let ledger_of = |id: SessionId| dir.join(format!("{id}.ledger"));
+    std::fs::write(
+        ledger_of(with_ckpt),
+        format!(
+            "{{\"Config\":{}}}\n",
+            serde_json::to_string(&workloads[0].2).expect("config serializes")
+        ),
+    )
+    .expect("plant a v1 ledger");
 
     let clients: Vec<_> = workloads
         .iter()
@@ -348,6 +359,16 @@ fn restarted_daemon_resumes_durable_sessions_to_completion() {
     wait_until("both sessions to cut a checkpoint", || {
         store.path(with_ckpt).exists() && store.path(without_ckpt).exists()
     });
+    assert!(
+        server_a.resumed_sessions().is_empty(),
+        "a JSONL ledger must be rejected, not resumed"
+    );
+    assert!(
+        std::fs::read(ledger_of(with_ckpt))
+            .expect("ledger on disk")
+            .starts_with(b"CNNWAL02"),
+        "the stale file must have been replaced by a binary ledger"
+    );
     server_a.shutdown(); // in-flight sessions land Failed, ledgers kept
 
     // Model a lost/corrupt checkpoint for one session: its resume must
@@ -412,7 +433,7 @@ fn restarted_daemon_resumes_durable_sessions_to_completion() {
             "{id} checkpoint must be reclaimed on completion"
         );
         assert!(
-            !dir.join(format!("{id}.ledger.jsonl")).exists(),
+            !ledger_of(id).exists(),
             "{id} ledger must be reclaimed on completion"
         );
     }

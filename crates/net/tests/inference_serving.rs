@@ -17,7 +17,8 @@ use cryptonn_data::clinic_dataset;
 use cryptonn_matrix::Matrix;
 use cryptonn_net::{
     run_inference_client, AuthorityConnector, AuthorityOptions, AuthorityServer, FleetOptions,
-    InferenceClient, InferenceFleet, LocalAuthority, NetError, RemoteAuthority, DEFAULT_MAX_FRAME,
+    InferenceClient, InferenceFleet, LocalAuthority, NetError, RemoteAuthority, WireFormat,
+    DEFAULT_MAX_FRAME,
 };
 use cryptonn_protocol::{
     mlp_session_config, AuthoritySession, ClientId, InferenceOptions, MlpSpec, SessionConfig,
@@ -91,7 +92,12 @@ fn inputs_for(seed: usize, n: usize, dim: usize) -> Vec<Matrix<f64>> {
 }
 
 /// Served predictions over TCP loopback == in-process predictions,
-/// bit for bit, across several concurrent pipelined clients.
+/// bit for bit, across several concurrent pipelined clients — with
+/// coalescing and the key cache on, and with both off (window 1, a
+/// zero-capacity cache: every request its own sweep, its keys
+/// re-derived through the authority). One client always speaks the
+/// other wire dialect, so each daemon serves a mixed json/binary
+/// population.
 #[test]
 fn served_predictions_are_bit_identical_to_in_process() {
     let data = clinic_dataset(16, 71);
@@ -99,39 +105,63 @@ fn served_predictions_are_bit_identical_to_in_process() {
     let mut reference = trained_model(&config, &data);
     let authority =
         AuthorityServer::start("127.0.0.1:0", AuthorityOptions::default()).expect("authority");
+    let cache_on = InferenceOptions {
+        max_batch: 3,
+        key_cache: 256,
+    };
+    let cache_off = InferenceOptions {
+        max_batch: 1,
+        key_cache: 0,
+    };
+    let other_dialect = match WireFormat::from_env() {
+        WireFormat::Json => WireFormat::Binary,
+        WireFormat::Binary => WireFormat::Json,
+    };
 
-    for shards in shard_counts() {
+    for (shards, options) in shard_counts()
+        .into_iter()
+        .flat_map(|shards| [(shards, cache_on), (shards, cache_off)])
+    {
         let fleet = start_fleet(
             SessionId(900),
             &config,
             &data,
             Arc::new(RemoteAuthority::new(authority.local_addr())),
             shards,
-            InferenceOptions {
-                max_batch: 3,
-                key_cache: 256,
-            },
+            options,
         );
         let addr = fleet.local_addr();
 
-        // Concurrent pipelined clients, each with its own inputs and seed.
+        // Concurrent clients, each with its own inputs and seed: the
+        // first two pipelined in the process-default dialect, the last
+        // synchronous in the other one.
         let clients = 3usize;
         let per_client = 4usize;
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let config = config.clone();
                 let inputs = inputs_for(c, per_client, data.feature_dim());
+                let (session, id, seed) = (SessionId(900), ClientId(c as u32), 7000 + c as u64);
                 std::thread::spawn(move || {
-                    run_inference_client(
-                        addr,
-                        SessionId(900),
-                        ClientId(c as u32),
-                        &config,
-                        7000 + c as u64,
-                        &inputs,
-                        2,
-                    )
-                    .expect("serving completes")
+                    if c + 1 < clients {
+                        run_inference_client(addr, session, id, &config, seed, &inputs, 2)
+                            .expect("serving completes")
+                    } else {
+                        let mut client = InferenceClient::connect_with_wire(
+                            addr,
+                            session,
+                            id,
+                            &config,
+                            seed,
+                            DEFAULT_MAX_FRAME,
+                            other_dialect,
+                        )
+                        .expect("other-dialect client connects");
+                        inputs
+                            .iter()
+                            .map(|x| client.predict(x).expect("prediction"))
+                            .collect()
+                    }
                 })
             })
             .collect();
@@ -141,12 +171,21 @@ fn served_predictions_are_bit_identical_to_in_process() {
             .collect();
 
         assert_eq!(fleet.served(), (clients * per_client) as u64);
-        assert!(
-            fleet.sweeps() <= fleet.served(),
-            "sweeps cannot exceed requests"
-        );
         let stats = fleet.cache_stats();
-        assert!(stats.hits > 0, "steady-state serving must hit the cache");
+        if options.key_cache == 0 {
+            assert_eq!(
+                fleet.sweeps(),
+                fleet.served(),
+                "window 1: a sweep per request"
+            );
+            assert_eq!(stats.hits, 0, "a zero-capacity cache cannot hit");
+        } else {
+            assert!(
+                fleet.sweeps() <= fleet.served(),
+                "sweeps cannot exceed requests"
+            );
+            assert!(stats.hits > 0, "steady-state serving must hit the cache");
+        }
         fleet.shutdown();
 
         // In-process reference: same trained twin, same public parameters,
@@ -172,7 +211,8 @@ fn served_predictions_are_bit_identical_to_in_process() {
                     .expect("in-process predict");
                 assert_eq!(
                     served_out, &direct,
-                    "served prediction diverged from in-process (client {c}, {shards} shards)"
+                    "served prediction diverged from in-process \
+                     (client {c}, {shards} shards, {options:?})"
                 );
             }
         }

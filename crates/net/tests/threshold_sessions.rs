@@ -11,21 +11,22 @@ use std::time::Duration;
 
 use cryptonn_core::{Client, Objective};
 use cryptonn_data::clinic_dataset;
-use cryptonn_fe::{ShareSpec, ThresholdSetup};
+use cryptonn_fe::{febo, BasicOp, FeboKeyRequest, ShareSpec, ThresholdSetup};
 use cryptonn_matrix::Matrix;
 use cryptonn_net::{
-    connector_from_spec, run_client, run_client_resumable, run_inference_client, AuthorityOptions,
-    AuthorityServer, FaultPlan, FaultyTransport, FleetOptions, InferenceFleet, NetError,
-    RemoteAuthority, ServerOptions, SessionOutcomeKind, SessionServer, TcpTransport,
-    ThresholdAuthority, DEFAULT_MAX_FRAME,
+    connector_from_spec, run_client, run_client_resumable, run_inference_client,
+    AuthorityConnector, AuthorityOptions, AuthorityServer, FaultPlan, FaultyTransport,
+    FleetOptions, InferenceFleet, NetError, RemoteAuthority, ServerOptions, SessionOutcomeKind,
+    SessionServer, TcpTransport, ThresholdAuthority, DEFAULT_MAX_FRAME,
 };
 use cryptonn_parallel::Parallelism;
 use cryptonn_protocol::{
     mlp_session_config, round_robin_shards, AuthoritySession, CheckpointStore, ClientId,
-    ClientSession, MlpSpec, SessionConfig, SessionId, SessionPolicy, SessionSummary,
-    TrainingSessionRunner,
+    ClientSession, FeboKeysRequest, FeipKeysRequest, KeyRequest, KeyResponse, MlpSpec,
+    PublicParams, SessionConfig, SessionId, SessionPolicy, SessionSummary, TrainingSessionRunner,
 };
 use parking_lot::Mutex;
+use rand::{rngs::StdRng, SeedableRng};
 
 fn resume_config(data: &cryptonn_data::Dataset, clients: u32, epochs: u32) -> SessionConfig {
     let mut config = mlp_session_config(
@@ -161,8 +162,42 @@ fn run_training(
     (summaries, server)
 }
 
+/// One batched FEIP and one batched FEBO (all four ops) derivation
+/// through `connector` — the raw traffic a training server generates.
+fn derivation_sweep(
+    connector: &dyn AuthorityConnector,
+    session: SessionId,
+    config: &SessionConfig,
+    dim: usize,
+) -> (PublicParams, Vec<KeyResponse>) {
+    let (params, mut channel) = connector.connect(session, config).expect("authority link");
+    let mut rng = StdRng::seed_from_u64(905);
+    let ys = (0..4)
+        .map(|k| (0..dim).map(|i| ((i + k) % 7) as i64 - 3).collect())
+        .collect();
+    let reqs = [BasicOp::Add, BasicOp::Sub, BasicOp::Mul, BasicOp::Div]
+        .into_iter()
+        .enumerate()
+        .map(|(k, op)| FeboKeyRequest {
+            cmt: *febo::encrypt(&params.febo_mpk, k as i64, &mut rng).commitment(),
+            op,
+            y: 1 + k as i64,
+        })
+        .collect();
+    let responses = [
+        KeyRequest::Feip(FeipKeysRequest { dim, ys }),
+        KeyRequest::Febo(FeboKeysRequest { reqs }),
+    ]
+    .into_iter()
+    .map(|req| channel.exchange(req).expect("derivation"))
+    .collect();
+    (params, responses)
+}
+
 /// Fault-free 2-of-3 training over real share daemons is bit-identical
-/// to the in-process single-authority golden run.
+/// to the in-process single-authority golden run — and so, below the
+/// training loop, are the raw key responses: the same derivation sweep
+/// answered by the share fleet and by a single authority daemon.
 #[test]
 fn threshold_training_is_bit_identical_to_golden() {
     let _watchdog = watchdog("threshold_training_is_bit_identical_to_golden");
@@ -182,6 +217,25 @@ fn threshold_training_is_bit_identical_to_golden() {
         (SessionId(41), SessionOutcomeKind::Completed)
     );
     server.shutdown();
+
+    let single = AuthorityServer::start("127.0.0.1:0", AuthorityOptions::default())
+        .expect("single authority binds");
+    let fleet = ThresholdAuthority::new(
+        daemons.iter().map(|d| d.local_addr()).collect(),
+        ThresholdSetup::new(3, 2).expect("valid setup"),
+    );
+    let dim = data.feature_dim();
+    assert_eq!(
+        derivation_sweep(&fleet, SessionId(141), &config, dim),
+        derivation_sweep(
+            &RemoteAuthority::new(single.local_addr()),
+            SessionId(141),
+            &config,
+            dim
+        ),
+        "threshold-derived keys must be bit-identical to the single authority's"
+    );
+    single.shutdown();
     for d in daemons {
         d.shutdown();
     }
@@ -474,7 +528,7 @@ fn single_authority_checkpoint_resumes_under_threshold_service() {
     }
 }
 
-/// The `CRYPTONN_AUTHORITY` deployment-spec parser: quorum and node
+/// The authority deployment-spec parser: quorum and node
 /// addresses round-trip, malformed specs are typed errors.
 #[test]
 fn threshold_spec_parses_and_rejects_garbage() {

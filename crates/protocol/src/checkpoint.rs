@@ -20,19 +20,11 @@
 //! magic    8 B   "CNNCKP01" (bumped on any layout change)
 //! fprint   8 B   FNV-1a-64 over the canonical JSON of the
 //!                SessionConfig, little-endian
-//! payload  …     the SessionCheckpoint as JSON, or as the binary
-//!                wire encoding (sniffed by its leading byte — a
-//!                binary payload opens with `0xB1`, JSON with `{`)
+//! payload  …     the SessionCheckpoint in the binary wire encoding
+//!                (DESIGN.md §16); any other payload is `Corrupt`
 //! check    8 B   4-lane word-folded FNV-1a-64 over everything above,
 //!                little-endian
 //! ```
-//!
-//! The frame is format-agnostic: [`CheckpointStore::with_format`]
-//! picks what `save` writes, and `load` sniffs, so a daemon restarted
-//! under the other wire format resumes old checkpoints unchanged
-//! (DESIGN.md §16). The config fingerprint stays FNV-1a over the
-//! *canonical JSON* of the config in both cases, so a format switch
-//! never orphans a file.
 //!
 //! The config fingerprint appears verbatim in the header so a file
 //! copied between sessions with different configs is rejected rather
@@ -48,7 +40,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use cryptonn_core::MlpSnapshot;
-use cryptonn_wire::WireFormat;
 use serde::{Deserialize, Serialize};
 
 use crate::messages::{ClientId, ReshardSpec, SessionConfig, SessionId};
@@ -197,25 +188,12 @@ pub fn config_fingerprint(config: &SessionConfig) -> u64 {
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
-    format: WireFormat,
 }
 
 impl CheckpointStore {
-    /// A store rooted at `dir` (created on first save), writing seed
-    /// JSON payloads.
+    /// A store rooted at `dir` (created on first save).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            format: WireFormat::Json,
-        }
-    }
-
-    /// The same store, writing payloads in `format`. Loading is
-    /// unaffected — it sniffs either format.
-    #[must_use]
-    pub fn with_format(mut self, format: WireFormat) -> Self {
-        self.format = format;
-        self
+        Self { dir: dir.into() }
     }
 
     /// The store's root directory.
@@ -243,7 +221,7 @@ impl CheckpointStore {
         let mut buf = Vec::with_capacity(HEADER_LEN + 8);
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&config_fingerprint(config).to_le_bytes());
-        cryptonn_wire::append_payload(ckpt, self.format, &mut buf)
+        cryptonn_wire::append_to_vec(ckpt, &mut buf)
             .map_err(|e| CheckpointError::Io(e.to_string()))?;
         let check = fnv1a(&buf);
         buf.extend_from_slice(&check.to_le_bytes());
@@ -296,7 +274,7 @@ impl CheckpointStore {
         if fp != config_fingerprint(config) {
             return Err(CheckpointError::FingerprintMismatch);
         }
-        let ckpt: SessionCheckpoint = cryptonn_wire::decode_payload(&body[HEADER_LEN..])
+        let ckpt: SessionCheckpoint = cryptonn_wire::from_slice(&body[HEADER_LEN..])
             .map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
         if ckpt.schema != CHECKPOINT_SCHEMA {
             return Err(CheckpointError::StaleSchema {
@@ -320,5 +298,69 @@ impl CheckpointStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(CheckpointError::Io(e.to_string())),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::messages::MlpSpec;
+    use crate::runner::mlp_session_config;
+    use cryptonn_core::Objective;
+    use cryptonn_matrix::Matrix;
+
+    /// A well-framed file — right magic, fingerprint and checksum —
+    /// whose payload is the checkpoint as JSON is refused as corrupt:
+    /// the store reads the binary encoding only.
+    #[test]
+    fn json_payload_is_rejected_as_corrupt() {
+        let config = mlp_session_config(
+            MlpSpec {
+                feature_dim: 2,
+                hidden: vec![2],
+                classes: 2,
+                objective: Objective::SoftmaxCrossEntropy,
+            },
+            1,
+            1,
+            2,
+            0.5,
+        );
+        let ckpt = SessionCheckpoint {
+            schema: CHECKPOINT_SCHEMA,
+            transcript_offset: 0,
+            next_step: 0,
+            losses: Vec::new(),
+            registered: Vec::new(),
+            delivered: Vec::new(),
+            batches_per_epoch: None,
+            total_steps: None,
+            gen: 0,
+            reshard: None,
+            model: MlpSnapshot {
+                w1: Matrix::zeros(2, 2),
+                b1: Matrix::zeros(1, 2),
+                rest: Vec::new(),
+                unit_keys: None,
+            },
+        };
+        let dir = std::env::temp_dir().join(format!("cryptonn-ckpt-json-{}", std::process::id()));
+        let store = CheckpointStore::new(&dir);
+        let session = SessionId(1);
+        store.save(session, &config, &ckpt).expect("save");
+        assert_eq!(store.load(session, &config).expect("binary loads"), ckpt);
+
+        let mut forged = Vec::new();
+        forged.extend_from_slice(&MAGIC);
+        forged.extend_from_slice(&config_fingerprint(&config).to_le_bytes());
+        forged.extend_from_slice(serde_json::to_string(&ckpt).expect("json").as_bytes());
+        let check = fnv1a(&forged);
+        forged.extend_from_slice(&check.to_le_bytes());
+        fs::write(store.path(session), forged).expect("overwrite");
+        assert!(matches!(
+            store.load(session, &config),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -27,8 +27,7 @@
 //!
 //! Served outputs are bit-identical to in-process
 //! [`CryptoMlp::predict_encrypted`] on the same ciphertexts — the
-//! equivalence the serving tests and the `predict_serve` telemetry pin
-//! down.
+//! equivalence the serving tests pin down.
 //!
 //! [`CryptoMlp::predict_encrypted`]: cryptonn_core::CryptoMlp::predict_encrypted
 

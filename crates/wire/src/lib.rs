@@ -115,14 +115,6 @@ impl WireFormat {
             _ => WireFormat::Json,
         }
     }
-
-    /// A short lowercase name (`"json"` / `"binary"`), for telemetry.
-    pub fn name(self) -> &'static str {
-        match self {
-            WireFormat::Json => "json",
-            WireFormat::Binary => "binary",
-        }
-    }
 }
 
 /// The per-connection negotiated format, shared between the send and
