@@ -25,6 +25,10 @@ pub enum CryptoNnError {
     Smc(SmcError),
     /// A functional-encryption operation failed.
     Fe(FeError),
+    /// A back-propagated delta handed to a secure gradient step is NaN
+    /// or infinite — the model has diverged. Quantizing it would turn
+    /// NaN into a zero gradient and ±∞ into a saturated one.
+    NonFiniteDelta,
     /// The model contains a layer that cannot be captured into (or
     /// restored from) a checkpoint snapshot.
     SnapshotUnsupported {
@@ -48,6 +52,9 @@ impl fmt::Display for CryptoNnError {
             }
             CryptoNnError::MissingLabels => {
                 write!(f, "batch was encrypted without labels (prediction batch)")
+            }
+            CryptoNnError::NonFiniteDelta => {
+                write!(f, "gradient delta is NaN or infinite (diverged model)")
             }
             CryptoNnError::Smc(e) => write!(f, "secure computation failed: {e}"),
             CryptoNnError::Fe(e) => write!(f, "functional encryption failed: {e}"),

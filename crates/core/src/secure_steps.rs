@@ -15,7 +15,7 @@
 //!    [`secure_conv_weight_grad`]); the paper's Algorithm 2 leaves this
 //!    step implicit, see DESIGN.md §4.
 
-use cryptonn_fe::{feip, BasicOp, FeError, FeipFunctionKey, KeyService};
+use cryptonn_fe::{feip, BasicOp, FeError, FeipCiphertext, FeipFunctionKey, KeyService};
 use cryptonn_matrix::Matrix;
 use cryptonn_nn::{Conv2D, Dense};
 use cryptonn_smc::{
@@ -39,8 +39,8 @@ pub(crate) fn max_abs_q(m: &Matrix<i64>) -> u64 {
 }
 
 /// Derives FEIP keys for all `dim` unit vectors — used to read the
-/// coordinates of combined (gradient) ciphertexts. The trainer caches
-/// the result across iterations.
+/// coordinates of the δ-weighted combinations that make up the secure
+/// gradient. The trainer caches the result across iterations.
 ///
 /// # Errors
 ///
@@ -195,17 +195,46 @@ pub fn secure_cross_entropy_loss<A: KeyService + ?Sized>(
     Ok(-total / samples as f64)
 }
 
+/// Quantizes a plaintext delta matrix for the secure gradient with a
+/// dynamic fixed point: normalized by the batch's largest |δ| so tiny
+/// deltas (vanishing gradients through sigmoid stacks) keep full
+/// relative precision at the configured resolution. Returns the
+/// quantized matrix and the factor it was scaled by, or `None` when
+/// every delta is zero (the gradient is zero without any decryption).
+///
+/// # Errors
+///
+/// [`CryptoNnError::NonFiniteDelta`] if any entry is NaN or infinite —
+/// `NaN as i64` is 0 and `±∞` saturates, so quantizing one would train
+/// a diverged model on silent garbage.
+fn quantize_delta(
+    delta: &Matrix<f64>,
+    grad_fp: FixedPoint,
+) -> Result<Option<(Matrix<i64>, f64)>, CryptoNnError> {
+    if delta.as_slice().iter().any(|v| !v.is_finite()) {
+        return Err(CryptoNnError::NonFiniteDelta);
+    }
+    let max_delta = delta.as_slice().iter().fold(0.0f64, |a, &b| a.max(b.abs()));
+    if max_delta == 0.0 {
+        return Ok(None);
+    }
+    let factor = grad_fp.scale() as f64 / max_delta;
+    Ok(Some((delta.map(|v| (v * factor).round() as i64), factor)))
+}
+
 /// Secure first-layer weight gradient for a dense layer:
 /// `∇W = δ·Xᵀ` where `δ` is the plaintext pre-activation delta
 /// (`out × batch`) and `X` is only available encrypted. Each gradient
 /// row is the δ-weighted combination of the encrypted sample columns,
-/// read out coordinate-wise with the cached unit keys.
+/// read out coordinate-wise with the cached unit keys — all rows in one
+/// [`feip::decrypt_combinations`] call, no combination materialised.
 ///
 /// Returns the gradient in the layer's `(in, out)` orientation.
 ///
 /// # Errors
 ///
-/// Propagates secure-computation failures.
+/// [`CryptoNnError::NonFiniteDelta`] for a NaN or infinite delta;
+/// otherwise propagates secure-computation failures.
 #[allow(clippy::too_many_arguments)]
 pub fn secure_dense_weight_grad<A: KeyService + ?Sized>(
     authority: &A,
@@ -226,44 +255,32 @@ pub fn secure_dense_weight_grad<A: KeyService + ?Sized>(
             what: "batch size",
         });
     }
-    let k = delta.rows();
-    // Dynamic fixed point: normalize by the batch's largest |δ| so tiny
-    // deltas (vanishing gradients through sigmoid stacks) keep full
-    // relative precision at the configured resolution.
-    let max_delta = delta.as_slice().iter().fold(0.0f64, |a, &b| a.max(b.abs()));
-    if max_delta == 0.0 {
-        return Ok(Matrix::zeros(n, k));
-    }
-    let factor = grad_fp.scale() as f64 / max_delta;
-    let dq = delta.map(|v| (v * factor).round() as i64);
+    let Some((dq, factor)) = quantize_delta(delta, grad_fp)? else {
+        return Ok(Matrix::zeros(n, delta.rows()));
+    };
     let bound = (m as u64)
         .saturating_mul(max_abs_q(&dq))
         .saturating_mul(batch.max_abs_x);
     let table = cache.table(bound);
-
     let mpk = authority.feip_public_key(n)?;
-    let columns = batch.x.feip_columns()?;
-    let column_refs: Vec<&cryptonn_fe::FeipCiphertext> = columns.iter().collect();
+    let column_refs: Vec<&FeipCiphertext> = batch.x.feip_columns()?.iter().collect();
+    let delta_rows: Vec<&[i64]> = dq.iter_rows().collect();
 
-    // One combined ciphertext per output neuron, then all n coordinates
-    // read in one batched pass (shared ct₀ comb table, one inversion).
-    // Rows are independent → parallelize across them.
-    let rows: Vec<Result<Vec<i64>, CryptoNnError>> =
-        parallel_map(k, parallelism.thread_count(), |i| {
-            let combined = feip::combine(&mpk, &column_refs, dq.row(i))?;
-            feip::decrypt_coordinates(&mpk, &combined, unit_keys, &table)
-                .map_err(CryptoNnError::from)
-        });
-
+    // One fused call: the δ-weighted combinations (one per output
+    // neuron) are read coordinate-wise and never materialised.
+    let sums = feip::decrypt_combinations(
+        &mpk,
+        &column_refs,
+        &delta_rows,
+        unit_keys,
+        &table,
+        parallelism,
+    )?;
     let denom = factor * data_fp.scale() as f64;
-    let mut grad = Matrix::zeros(k, n);
-    for (i, row) in rows.into_iter().enumerate() {
-        for (j, v) in row?.into_iter().enumerate() {
-            grad[(i, j)] = v as f64 / denom;
-        }
-    }
     // (out × in) → layer orientation (in × out).
-    Ok(grad.transpose())
+    Ok(Matrix::from_vec(dq.rows(), n, sums)
+        .map(|v| v as f64 / denom)
+        .transpose())
 }
 
 /// Secure feed-forward for a first convolutional layer: Algorithm 3's
@@ -322,7 +339,8 @@ pub fn secure_conv_forward<A: KeyService + ?Sized>(
 ///
 /// # Errors
 ///
-/// Propagates secure-computation failures.
+/// [`CryptoNnError::NonFiniteDelta`] for a NaN or infinite delta;
+/// otherwise propagates secure-computation failures.
 #[allow(clippy::too_many_arguments)]
 pub fn secure_conv_weight_grad<A: KeyService + ?Sized>(
     authority: &A,
@@ -343,25 +361,21 @@ pub fn secure_conv_weight_grad<A: KeyService + ?Sized>(
         });
     }
     let dim = batch.window_dim();
-    let out_c = grad_rows.cols();
-    // Dynamic fixed point (see secure_dense_weight_grad).
-    let max_delta = grad_rows
-        .as_slice()
-        .iter()
-        .fold(0.0f64, |a, &b| a.max(b.abs()));
-    if max_delta == 0.0 {
-        return Ok(Matrix::zeros(out_c, dim));
-    }
-    let factor = grad_fp.scale() as f64 / max_delta;
-    let gq = grad_rows.map(|v| (v * factor).round() as i64);
+    let Some((gq, factor)) = quantize_delta(grad_rows, grad_fp)? else {
+        return Ok(Matrix::zeros(grad_rows.cols(), dim));
+    };
+    let out_c = gq.cols();
     let bound = (windows.len() as u64)
         .saturating_mul(max_abs_q(&gq))
         .saturating_mul(batch.max_abs_x);
     let table = cache.table(bound);
 
     let mpk = authority.feip_public_key(dim)?;
-    let window_refs: Vec<&cryptonn_fe::FeipCiphertext> = windows.iter().collect();
+    let window_refs: Vec<&FeipCiphertext> = windows.iter().collect();
 
+    // One combined ciphertext per filter, then all `dim` coordinates
+    // read in one batched pass (shared ct₀ comb table, one inversion).
+    // Filters are independent → parallelize across them.
     let rows: Vec<Result<Vec<i64>, CryptoNnError>> =
         parallel_map(out_c, parallelism.thread_count(), |oc| {
             let weights = gq.col(oc);

@@ -302,6 +302,91 @@ where
     .collect()
 }
 
+/// Checks the operands of a linear combination — every weight row has
+/// one weight per ciphertext, every ciphertext the same dimension — and
+/// returns that dimension.
+///
+/// # Panics
+///
+/// Panics if `cts` is empty.
+fn combination_dimension(
+    cts: &[&FeipCiphertext],
+    weight_rows: &[&[i64]],
+) -> Result<usize, FeError> {
+    for row in weight_rows {
+        if row.len() != cts.len() {
+            return Err(FeError::DimensionMismatch {
+                expected: cts.len(),
+                got: row.len(),
+            });
+        }
+    }
+    let dim = cts[0].dimension();
+    for ct in cts {
+        if ct.dimension() != dim {
+            return Err(FeError::DimensionMismatch {
+                expected: dim,
+                got: ct.dimension(),
+            });
+        }
+    }
+    Ok(dim)
+}
+
+/// The linear homomorphism of [`combine`] as deferred ratios, the
+/// kernel under [`decrypt_combinations`]: for every weight row `r` and
+/// every coordinate `j ∈ 0..=dim` (coordinate 0 is `ct₀`), the ratio
+/// `Π_s ct_{s,j}^{w_{r,s}}`, row-major `k × (dim + 1)`.
+///
+/// The shape is [`decrypt_cells_refs`] with the roles transposed: each
+/// weight row is wNAF-recoded **once** and shared by all `dim + 1`
+/// coordinates; the bases `[ct_{s,j}]ₛ` of each coordinate get **one**
+/// set of odd-power tables, shared by all `k` rows; and a work unit is
+/// one (row, stride of four coordinates) advancing through the row's
+/// Straus digit schedule four coordinates per Montgomery kernel call.
+/// A coordinate therefore costs `2·log₂(max|w|)` squarings plus one
+/// product per nonzero digit instead of one full-width exponentiation
+/// per ciphertext (DESIGN.md §10.5).
+///
+/// Operands must have passed [`combination_dimension`].
+fn combination_ratios(
+    group: &SchnorrGroup,
+    cts: &[&FeipCiphertext],
+    weight_rows: &[&[i64]],
+    threads: usize,
+) -> Vec<ElementRatio> {
+    let ncoords = cts[0].dimension() + 1;
+    let recoded: Vec<WnafScalars> = weight_rows
+        .iter()
+        .map(|row| WnafScalars::recode(row))
+        .collect();
+    let tables: Vec<OddPowerTables> = parallel_map(ncoords, threads, |j| {
+        let bases: Vec<Element> = cts
+            .iter()
+            .map(|ct| if j == 0 { ct.ct0 } else { ct.cts[j - 1] })
+            .collect();
+        group.odd_power_tables(&bases)
+    });
+    let nstrides = ncoords.div_ceil(LANES);
+    parallel_map(recoded.len() * nstrides, threads, |idx| {
+        let (scalars, j0) = (&recoded[idx / nstrides], idx % nstrides * LANES);
+        if j0 + LANES <= ncoords {
+            group
+                .multi_scalar_ratio_lanes(core::array::from_fn(|i| &tables[j0 + i]), scalars)
+                .to_vec()
+        } else {
+            // Remainder stride (< 4 coordinates): the serial path.
+            tables[j0..]
+                .iter()
+                .map(|t| group.multi_scalar_ratio(t, scalars))
+                .collect()
+        }
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 /// Linearly combines ciphertexts: given encryptions of vectors
 /// `x_1 … x_k` and integer weights `w_1 … w_k`, produces a valid
 /// encryption of `Σ w_j · x_j` (under randomness `Σ w_j · r_j`).
@@ -310,6 +395,13 @@ where
 /// first-layer weight gradient `δ · Xᵀ` without learning `X`: each
 /// gradient row is a weighted sum of the encrypted sample columns (see
 /// DESIGN.md §4 for the security discussion).
+///
+/// This is the reference form of the homomorphism: it materialises the
+/// combination with one full-width exponentiation per (ciphertext,
+/// coordinate). The convolution filter gradient reads its result with
+/// [`decrypt_coordinates`]; the dense gradient reads the same
+/// coordinates off deferred ratios through [`decrypt_combinations`],
+/// which is tested against this function bit for bit.
 ///
 /// # Errors
 ///
@@ -325,21 +417,7 @@ pub fn combine(
     weights: &[i64],
 ) -> Result<FeipCiphertext, FeError> {
     assert!(!cts.is_empty(), "combine requires at least one ciphertext");
-    if weights.len() != cts.len() {
-        return Err(FeError::DimensionMismatch {
-            expected: cts.len(),
-            got: weights.len(),
-        });
-    }
-    let dim = cts[0].dimension();
-    for ct in cts {
-        if ct.dimension() != dim {
-            return Err(FeError::DimensionMismatch {
-                expected: dim,
-                got: ct.dimension(),
-            });
-        }
-    }
+    let dim = combination_dimension(cts, &[weights])?;
     let group = &mpk.group;
     let mut ct0 = group.identity();
     let mut cts_out = vec![group.identity(); dim];
@@ -662,13 +740,15 @@ pub fn decrypt_cells_refs(
     .collect()
 }
 
-/// Reads every coordinate of a (typically [`combine`]d) ciphertext with
-/// the caller's cached unit-vector keys: returns `x_j` for each `j`.
+/// Reads every coordinate of one ciphertext with the caller's cached
+/// unit-vector keys: returns `x_j` for each `j`.
 ///
 /// The unit numerators are just `ctⱼ` (no exponentiation at all), the
 /// `ct₀^{sk_j}` denominators share one comb table on `ct₀`, and all
-/// `dim` divisions resolve through one batched inversion — this is the
-/// fast path under the secure first-layer gradient's coordinate reads.
+/// `dim` divisions resolve through one batched inversion. The
+/// convolution filter gradient reads its [`combine`]d ciphertexts this
+/// way; the dense gradient reads combinations it never materialises
+/// through [`decrypt_combinations`], which ends in the same read.
 ///
 /// # Errors
 ///
@@ -689,8 +769,27 @@ pub fn decrypt_coordinates(
         });
     }
     let group = &mpk.group;
-    let ct0_table =
-        (unit_keys.len() >= FIXED_BASE_THRESHOLD).then(|| group.fixed_base_table(&ct.ct0));
+    let nums: Vec<ElementRatio> = ct
+        .cts
+        .iter()
+        .map(|cti| ElementRatio::from_element(group, *cti))
+        .collect();
+    read_coordinates(group, &ct.ct0, &nums, unit_keys, table)
+}
+
+/// The coordinate read under [`decrypt_coordinates`] and
+/// [`decrypt_combinations`]: solves `numsⱼ / ct₀^{sk_j}` for every `j`,
+/// with one comb table on `ct₀`, four unit-key exponents per kernel
+/// call, and one batched inversion. `nums` and `unit_keys` have equal
+/// length (checked by the callers).
+fn read_coordinates(
+    group: &SchnorrGroup,
+    ct0: &Element,
+    nums: &[ElementRatio],
+    unit_keys: &[FeipFunctionKey],
+    table: &DlogTable,
+) -> Result<Vec<i64>, FeError> {
+    let ct0_table = (unit_keys.len() >= FIXED_BASE_THRESHOLD).then(|| group.fixed_base_table(ct0));
     // `ct0^{sk_j}` denominators: with the shared comb table, four
     // distinct exponents walk the table in lockstep per kernel call.
     let mut denoms: Vec<Element> = Vec::with_capacity(unit_keys.len());
@@ -703,13 +802,12 @@ pub fn decrypt_coordinates(
             }
             denoms.extend(chunks.remainder().iter().map(|k| group.exp_table(t, &k.sk)));
         }
-        None => denoms.extend(unit_keys.iter().map(|k| group.pow(&ct.ct0, &k.sk))),
+        None => denoms.extend(unit_keys.iter().map(|k| group.pow(ct0, &k.sk))),
     }
-    let ratios: Vec<ElementRatio> = ct
-        .cts
+    let ratios: Vec<ElementRatio> = nums
         .iter()
         .zip(&denoms)
-        .map(|(cti, denom)| ElementRatio::from_element(group, *cti).div_by(group, denom))
+        .map(|(num, denom)| num.div_by(group, denom))
         .collect();
     let raws = group.resolve_ratios(&ratios);
     table
@@ -717,6 +815,67 @@ pub fn decrypt_coordinates(
         .into_iter()
         .map(|r| r.map_err(FeError::from))
         .collect()
+}
+
+/// The secure first-layer gradient in one call: for every weight row
+/// `wʳ` (one per output neuron) and every coordinate `j`,
+/// recovers `Σ_s wʳ_s · x_{s,j}` from the encryptions `cts` of the
+/// `x_s` — i.e. [`decrypt_coordinates`] of [`combine`]`(cts, wʳ)` for
+/// each row, without ever materialising a combined ciphertext.
+///
+/// Coordinate `j` of combination `r` is one deferred ratio,
+/// `Π_s ct_{s,j}^{wʳ_s} / (Π_s ct_{s,0}^{wʳ_s})^{sk_j}`: the products
+/// come from one multi-scalar kernel (rows recoded once,
+/// per-coordinate tables shared by all rows, four coordinates per
+/// kernel call); only the `k` combined `ct₀` are resolved (one batched
+/// inversion) because each is the base of its row's comb table; the
+/// numerators stay ratios until the row's single batched inversion.
+/// Both phases fan out over `parallelism`, the first over
+/// (row × coordinate stride) units so few rows over many ciphertexts
+/// (the convolution shape, tested but not wired in yet) still fill
+/// every thread.
+///
+/// Returns values row-major: `out[r * dim + j]`. Empty `cts` or
+/// `weight_rows` return an empty vector.
+///
+/// # Errors
+///
+/// - [`FeError::DimensionMismatch`] if a weight row does not have one
+///   weight per ciphertext, the ciphertext dimensions disagree, or
+///   `unit_keys` does not match them,
+/// - [`FeError::Group`] wrapping `DlogOutOfRange` if any coordinate
+///   exceeds the table bound.
+pub fn decrypt_combinations(
+    mpk: &FeipPublicKey,
+    cts: &[&FeipCiphertext],
+    weight_rows: &[&[i64]],
+    unit_keys: &[FeipFunctionKey],
+    table: &DlogTable,
+    parallelism: Parallelism,
+) -> Result<Vec<i64>, FeError> {
+    if cts.is_empty() || weight_rows.is_empty() {
+        return Ok(Vec::new());
+    }
+    let dim = combination_dimension(cts, weight_rows)?;
+    if unit_keys.len() != dim {
+        return Err(FeError::DimensionMismatch {
+            expected: dim,
+            got: unit_keys.len(),
+        });
+    }
+    let group = &mpk.group;
+    let threads = parallelism.thread_count();
+    let ratios = combination_ratios(group, cts, weight_rows, threads);
+    let ncoords = dim + 1;
+    let ct0_ratios: Vec<ElementRatio> = ratios.iter().step_by(ncoords).copied().collect();
+    let ct0s = group.resolve_ratios(&ct0_ratios);
+    parallel_map(weight_rows.len(), threads, |r| {
+        let nums = &ratios[r * ncoords + 1..(r + 1) * ncoords];
+        read_coordinates(group, &ct0s[r], nums, unit_keys, table)
+    })
+    .into_iter()
+    .collect::<Result<Vec<Vec<i64>>, FeError>>()
+    .map(|rows| rows.concat())
 }
 
 /// `Decrypt(mpk, ct, sk_f, y)`: recovers `⟨x, y⟩` as a signed integer
@@ -1038,5 +1197,57 @@ mod tests {
         let (mpk, _msk, mut rng) = setup_small(2);
         let ct = encrypt(&mpk, &[1, 2], &mut rng).unwrap();
         assert!(combine(&mpk, &[&ct], &[1, 2]).is_err());
+    }
+
+    /// The ratio kernel under [`decrypt_combinations`], resolved into a
+    /// ciphertext, must equal the one-exponentiation-per-term
+    /// [`combine`] bit for bit.
+    #[test]
+    fn ratio_kernel_is_bit_identical_to_combine() {
+        const EXTREMES: [i64; 8] = [i64::MIN, 0, i64::MAX, i64::MIN + 1, -1, i64::MAX - 1, 1, 0];
+        let mut rng = StdRng::seed_from_u64(0x20);
+        for level in [
+            SecurityLevel::Bits32,
+            SecurityLevel::Bits64,
+            SecurityLevel::Bits128,
+            SecurityLevel::Bits192,
+            SecurityLevel::Bits224,
+            SecurityLevel::Bits256,
+            SecurityLevel::Bits256Fast,
+        ] {
+            let group = SchnorrGroup::precomputed(level);
+            // dim + 1 coordinates (ct₀ included) cover every lane
+            // remainder: 2, 4, 5, 10 and 11.
+            for dim in [1usize, 3, 4, 9, 10] {
+                let (mpk, _msk) = setup(group.clone(), dim, &mut rng);
+                let cts: Vec<FeipCiphertext> = (0..8)
+                    .map(|_| {
+                        let x: Vec<i64> = (0..dim).map(|_| rng.random_range(-100..=100)).collect();
+                        encrypt(&mpk, &x, &mut rng).unwrap()
+                    })
+                    .collect();
+                for m in [1usize, 3, 8] {
+                    let refs: Vec<&FeipCiphertext> = cts[..m].iter().collect();
+                    let random: Vec<i64> = (0..m)
+                        .map(|_| rng.random_range(-1_000_000..=1_000_000))
+                        .collect();
+                    for weights in [&random[..], &EXTREMES[..m], &vec![0i64; m][..]] {
+                        let mut coords = group
+                            .resolve_ratios(&combination_ratios(&group, &refs, &[weights], 1))
+                            .into_iter();
+                        let ct0 = coords.next().expect("coordinate 0 is ct0");
+                        let kernel = FeipCiphertext {
+                            ct0,
+                            cts: coords.collect(),
+                        };
+                        assert_eq!(
+                            kernel,
+                            combine(&mpk, &refs, weights).unwrap(),
+                            "{level:?} dim {dim} m {m} weights {weights:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -54,9 +54,7 @@ pub use authority::{
 pub use cache::{CachingKeyService, KeyCacheStats};
 pub use error::FeError;
 pub use febo::{BasicOp, FeboCiphertext, FeboFunctionKey, FeboMasterKey, FeboPublicKey};
-pub use feip::{
-    combine as feip_combine, FeipCiphertext, FeipFunctionKey, FeipMasterKey, FeipPublicKey,
-};
+pub use feip::{FeipCiphertext, FeipFunctionKey, FeipMasterKey, FeipPublicKey};
 pub use service::{FeboKeyRequest, KeyService};
 pub use threshold::{
     local_threshold_service, DleqProof, FeboPartial, LocalShareClient, ShareAuthority, ShareClient,

@@ -208,3 +208,179 @@ proptest! {
         }
     }
 }
+
+/// One FEIP instance with its unit-vector keys — what the trainer holds
+/// when it evaluates the secure first-layer gradient. Each proptest
+/// case draws fresh plaintexts and delta rows against it.
+struct GradientFixture {
+    mpk: feip::FeipPublicKey,
+    unit_keys: Vec<feip::FeipFunctionKey>,
+    table: DlogTable,
+}
+
+/// Largest |plaintext| and |weight| the gradient cases draw.
+const GRAD_MAX_X: i64 = 20;
+const GRAD_MAX_W: i64 = 1000;
+
+impl GradientFixture {
+    fn new(level: SecurityLevel, dim: usize, max_cts: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(0x6AD);
+        let g = SchnorrGroup::precomputed(level);
+        let (mpk, msk) = feip::setup(g.clone(), dim, &mut rng);
+        let unit_keys = (0..dim)
+            .map(|j| {
+                let mut unit = vec![0i64; dim];
+                unit[j] = 1;
+                feip::key_derive(&g, &msk, &unit).unwrap()
+            })
+            .collect();
+        let table = DlogTable::new(&g, max_cts * (GRAD_MAX_X * GRAD_MAX_W) as u64);
+        Self {
+            mpk,
+            unit_keys,
+            table,
+        }
+    }
+
+    /// `decrypt_combinations` over `m` fresh ciphertexts and `k` delta
+    /// rows (signed, a quarter of the weights zero, the last row all
+    /// zero) must equal `decrypt_coordinates(combine(..))` row by row
+    /// and the plaintext `Σ wₛ·xₛ`, identically at every thread count.
+    fn check(&self, m: usize, k: usize, seed: u64) -> Result<(), String> {
+        use cryptonn_parallel::Parallelism;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dim = self.unit_keys.len();
+        let xs: Vec<Vec<i64>> = (0..m)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| rng.random_range(-GRAD_MAX_X..=GRAD_MAX_X))
+                    .collect()
+            })
+            .collect();
+        let cts: Vec<_> = xs
+            .iter()
+            .map(|x| feip::encrypt(&self.mpk, x, &mut rng).unwrap())
+            .collect();
+        let refs: Vec<&feip::FeipCiphertext> = cts.iter().collect();
+        let rows: Vec<Vec<i64>> = (0..k)
+            .map(|r| {
+                (0..m)
+                    .map(|_| {
+                        if r + 1 == k || rng.random_range(0..4) == 0 {
+                            0
+                        } else {
+                            rng.random_range(-GRAD_MAX_W..=GRAD_MAX_W)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let row_refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+        let run = |par| {
+            feip::decrypt_combinations(
+                &self.mpk,
+                &refs,
+                &row_refs,
+                &self.unit_keys,
+                &self.table,
+                par,
+            )
+            .unwrap()
+        };
+        let fused = run(Parallelism::Serial);
+        prop_assert_eq!(fused.len(), k * dim);
+        for (r, row) in rows.iter().enumerate() {
+            let combined = feip::combine(&self.mpk, &refs, row).unwrap();
+            let read =
+                feip::decrypt_coordinates(&self.mpk, &combined, &self.unit_keys, &self.table)
+                    .unwrap();
+            prop_assert_eq!(&fused[r * dim..(r + 1) * dim], &read[..], "row {}", r);
+            for (j, &got) in read.iter().enumerate() {
+                let plain: i64 = row.iter().zip(&xs).map(|(w, x)| w * x[j]).sum();
+                prop_assert_eq!(got, plain, "cell ({}, {})", r, j);
+            }
+        }
+        prop_assert_eq!(&run(Parallelism::Threads(2)), &fused);
+        prop_assert_eq!(&run(Parallelism::Threads(5)), &fused);
+        Ok(())
+    }
+}
+
+proptest! {
+    // One case: four passes over 12 544 coordinates are ~8 s unoptimized.
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// The dense first-layer gradient of `train_net`: 16 delta rows over
+    /// 8 encrypted samples of dimension 784 at `Bits256Fast`.
+    #[test]
+    fn decrypt_combinations_equals_combine_then_read_at_dense_geometry(seed in any::<u64>()) {
+        GradientFixture::new(SecurityLevel::Bits256Fast, 784, 8).check(8, 16, seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The shape of `train_cnn`'s filter gradient: 3 filter rows over
+    /// hundreds of encrypted 3×3 windows. `secure_conv_weight_grad`
+    /// still goes through `combine`; this pins the kernel at that shape
+    /// for when it switches.
+    #[test]
+    fn decrypt_combinations_equals_combine_then_read_at_conv_geometry(
+        m in 200usize..=260,
+        seed in any::<u64>(),
+    ) {
+        GradientFixture::new(SecurityLevel::Bits256Fast, 9, 260).check(m, 3, seed)?;
+    }
+}
+
+#[test]
+fn decrypt_combinations_rejects_ragged_operands() {
+    use cryptonn_fe::FeError;
+    use cryptonn_parallel::Parallelism::Serial;
+    let fx = GradientFixture::new(SecurityLevel::Bits64, 3, 2);
+    let mut rng = StdRng::seed_from_u64(5);
+    let ct = |mpk: &feip::FeipPublicKey, x: &[i64], rng: &mut StdRng| {
+        feip::encrypt(mpk, x, rng).unwrap()
+    };
+    let (a, b) = (
+        ct(&fx.mpk, &[1, 2, 3], &mut rng),
+        ct(&fx.mpk, &[4, 5, 6], &mut rng),
+    );
+    let run = |cts: &[&feip::FeipCiphertext], rows: &[&[i64]], keys: &[feip::FeipFunctionKey]| {
+        feip::decrypt_combinations(&fx.mpk, cts, rows, keys, &fx.table, Serial)
+    };
+    assert_eq!(
+        run(&[&a, &b], &[&[1, 2], &[-3, 4]], &fx.unit_keys),
+        Ok(vec![9, 12, 15, 13, 14, 15])
+    );
+    // A weight row without one weight per ciphertext.
+    assert_eq!(
+        run(&[&a, &b], &[&[1, 2], &[3]], &fx.unit_keys),
+        Err(FeError::DimensionMismatch {
+            expected: 2,
+            got: 1
+        })
+    );
+    // Unit keys for another dimension.
+    assert_eq!(
+        run(&[&a, &b], &[&[1, 2]], &fx.unit_keys[..2]),
+        Err(FeError::DimensionMismatch {
+            expected: 3,
+            got: 2
+        })
+    );
+    // Ciphertexts of mixed dimension.
+    let (mpk2, _) = feip::setup(fx.mpk.group().clone(), 2, &mut rng);
+    let short = ct(&mpk2, &[7, 8], &mut rng);
+    assert_eq!(
+        run(&[&a, &short], &[&[1, 2]], &fx.unit_keys),
+        Err(FeError::DimensionMismatch {
+            expected: 3,
+            got: 2
+        })
+    );
+    // Nothing to combine, or no rows to read: empty, not a panic.
+    assert_eq!(run(&[], &[&[]], &fx.unit_keys), Ok(vec![]));
+    assert_eq!(run(&[&a, &b], &[], &fx.unit_keys), Ok(vec![]));
+}
