@@ -259,8 +259,8 @@ fn multi_scalar_decrypt(c: &mut Criterion) {
 /// measured per Montgomery product, on the generic `Bits256` prime and
 /// the Montgomery-friendly `Bits256Fast` prime (m′ = 1, one multiply
 /// per reduction round shaved off). The interesting numbers are the
-/// lane arm's per-mul amortization and the generic → fast-prime delta;
-/// `CRYPTONN_FORCE_SCALAR=1` pins the scalar kernel for A/B runs.
+/// lane arm's per-mul amortization (four interleaved CIOS chains against
+/// one) and the generic → fast-prime delta.
 fn mont_lanes(c: &mut Criterion) {
     use cryptonn_bigint::Montgomery;
 

@@ -7,32 +7,12 @@
 //! them. A single CIOS product is a serial dependency chain of ~9
 //! multiply-accumulates per round — far too little instruction-level
 //! parallelism to saturate a modern core. Batching four products into
-//! one call exposes that parallelism in one of two ways:
+//! one call exposes that parallelism: the four CIOS rounds are
+//! interleaved lane-by-lane in one loop, giving the out-of-order engine
+//! four independent multiply chains to schedule against each other.
 //!
-//! - **AVX2 vertical SIMD** ([`Kernel::Avx2`]): operands are split into
-//!   eight 32-bit limbs and transposed so one 256-bit vector holds limb
-//!   `j` of all four lanes (zero-extended to 64 bits). One
-//!   `vpmuludq` then performs the `j`-th partial product of all four
-//!   lanes at once. The 32-bit limb split keeps every accumulation step
-//!   inside a u64: `t + x·y + carry ≤ (2^32−1)² + 2(2^32−1) = 2^64 − 1`
-//!   exactly, so no lane can ever carry into its neighbor.
-//! - **Interleaved scalar** ([`Kernel::Scalar`]): the four CIOS rounds
-//!   are interleaved lane-by-lane in one loop, giving the out-of-order
-//!   engine four independent multiply chains to schedule against each
-//!   other. This is also the portable fallback for non-x86 targets.
-//!
-//! The kernel is picked **once per process** (first use, typically at
-//! group-context build time) and pinned via [`std::sync::OnceLock`].
-//! CPU feature detection only establishes *eligibility*: on hosts that
-//! report AVX2 a short timed shootout between the two kernels decides
-//! which one is actually faster there — `vpmuludq` retires four 32×32
-//! products per cycle, which on wide scalar-multiplier cores is merely
-//! break-even with four interleaved 64×64 `mul` chains. Setting
-//! `CRYPTONN_FORCE_SCALAR=1` in the environment forces the scalar
-//! kernel regardless of CPU features — the CI escape hatch that keeps
-//! the fallback path tested.
-
-use std::sync::OnceLock;
+//! It is the only kernel: the same code on every target, with no
+//! runtime selection (DESIGN.md §13.1 has the measurement behind that).
 
 use crate::limbs::{adc, mac, Limb};
 use crate::montgomery::{Montgomery, Reducer};
@@ -44,103 +24,18 @@ pub const LANES: usize = 4;
 /// Number of 64-bit limbs in the working width.
 const N: usize = U256::LIMBS;
 
-/// The lane-batched kernel implementations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// 4-wide vertical SIMD over 32-bit limbs (`x86_64` with AVX2).
-    Avx2,
-    /// Four interleaved scalar CIOS chains (ILP fallback, all targets).
-    Scalar,
-}
-
-static KERNEL: OnceLock<Kernel> = OnceLock::new();
-
-/// The kernel this process uses for every lane-batched product.
-///
-/// Resolution order: `CRYPTONN_FORCE_SCALAR=1` forces the scalar
-/// fallback; otherwise, when the CPU reports AVX2, a one-time timed
-/// shootout picks whichever kernel is faster on this host; otherwise
-/// scalar. The choice is made on first call and never changes.
-pub fn kernel() -> Kernel {
-    *KERNEL.get_or_init(|| {
-        if std::env::var_os("CRYPTONN_FORCE_SCALAR").is_some_and(|v| v == "1") {
-            return Kernel::Scalar;
-        }
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return calibrate();
-        }
-        Kernel::Scalar
-    })
-}
-
-/// Times both kernels on a fixed fast-reduction modulus and returns the
-/// faster one. Runs once, costs well under a millisecond, and keeps the
-/// pinned choice honest on cores where vertical SIMD is no faster than
-/// four interleaved scalar multiply chains.
-#[cfg(target_arch = "x86_64")]
-fn calibrate() -> Kernel {
-    // Any odd 256-bit modulus works; m ≡ -1 (mod 2^64) also covers the
-    // fast-reduction round in the scalar kernel.
-    let m = U256::from_limbs([u64::MAX, 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9, 0xd6e022bd]);
-    let ctx = Montgomery::new(&m).expect("calibration modulus is odd > 1");
-    let seed = U256::from_limbs([1, 2, 3, 4]);
-    let mut x = [seed; LANES];
-    let y = [m.wrapping_sub(&seed); LANES];
-
-    let mut best = (Kernel::Scalar, u128::MAX);
-    for k in [Kernel::Avx2, Kernel::Scalar] {
-        let run = |x: &mut [U256; LANES]| match k {
-            // SAFETY: calibrate() is only reached after
-            // `is_x86_feature_detected!("avx2")` reported support.
-            Kernel::Avx2 => *x = unsafe { avx2::mont_mul_x4(&ctx, x, &y) },
-            Kernel::Scalar => *x = scalar_mont_mul_x4(&ctx, x, &y),
-        };
-        for _ in 0..256 {
-            run(&mut x); // warm up
-        }
-        let t0 = std::time::Instant::now();
-        for _ in 0..2048 {
-            run(&mut x);
-        }
-        let dt = t0.elapsed().as_nanos();
-        if dt < best.1 {
-            best = (k, dt);
-        }
-    }
-    // Keep the dependency chain (and thus the measurement) from being
-    // optimized out.
-    std::hint::black_box(x);
-    best.0
-}
-
-/// The active kernel's name, for bench telemetry and logs.
+/// The lane kernel's name, for benchmark host records and logs.
 pub fn kernel_name() -> &'static str {
-    match kernel() {
-        Kernel::Avx2 => "avx2",
-        Kernel::Scalar => "scalar",
-    }
+    "scalar"
 }
 
-/// Dispatches four already-reduced Montgomery products to the selected
-/// kernel. Callers go through
-/// [`Montgomery::mont_mul_lanes`], which reduces wire-range operands
-/// first.
+/// Four interleaved scalar CIOS chains over already-reduced operands.
+/// Each outer round advances every lane by one `y` limb before moving
+/// on, so the four (entirely independent) multiply-accumulate chains
+/// sit side by side in the instruction stream for the out-of-order
+/// engine to overlap. Callers go through [`Montgomery::mont_mul_lanes`],
+/// which reduces wire-range operands first.
 pub(crate) fn mont_mul_x4(ctx: &Montgomery, x: &[U256; LANES], y: &[U256; LANES]) -> [U256; LANES] {
-    #[cfg(target_arch = "x86_64")]
-    if kernel() == Kernel::Avx2 {
-        // SAFETY: the Avx2 kernel is only selected after
-        // `is_x86_feature_detected!("avx2")` reported support.
-        return unsafe { avx2::mont_mul_x4(ctx, x, y) };
-    }
-    scalar_mont_mul_x4(ctx, x, y)
-}
-
-/// Four interleaved scalar CIOS chains. Each outer round advances every
-/// lane by one `y` limb before moving on, so the four (entirely
-/// independent) multiply-accumulate chains sit side by side in the
-/// instruction stream for the out-of-order engine to overlap.
-fn scalar_mont_mul_x4(ctx: &Montgomery, x: &[U256; LANES], y: &[U256; LANES]) -> [U256; LANES] {
     let m = ctx.m.as_limbs();
     let mut t = [[0 as Limb; N + 2]; LANES];
 
@@ -194,123 +89,6 @@ fn scalar_mont_mul_x4(ctx: &Montgomery, x: &[U256; LANES], y: &[U256; LANES]) ->
     out
 }
 
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    //! The AVX2 vertical kernel: CIOS over eight 32-bit limbs, four
-    //! lanes per vector.
-    //!
-    //! Layout: `t[j]`, `xv[j]`, `yv[j]` are `__m256i` whose four 64-bit
-    //! elements hold limb `j` (32 significant bits) of lanes 0..4.
-    //! `vpmuludq` multiplies the low 32 bits of each 64-bit element, so
-    //! one instruction computes the `j`-th partial product of all four
-    //! lanes. Every accumulation `t + x·y + carry` is bounded by
-    //! `(2^32−1)² + 2(2^32−1) = 2^64 − 1` and therefore never wraps a
-    //! 64-bit element — lanes cannot contaminate each other.
-    //!
-    //! The generic CIOS recurrence is used for every modulus: the
-    //! 32-bit reduction constant `m′₃₂ = m′ mod 2^32` is correct for
-    //! the fast prime too (where it is simply 1), so no per-round
-    //! branch is needed in the vector loop.
-
-    use core::arch::x86_64::*;
-
-    use super::{Montgomery, LANES, U256};
-
-    /// 32-bit limbs per 256-bit operand.
-    const N32: usize = 8;
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn to_lanes32(v: &[U256; LANES], j: usize) -> __m256i {
-        let limb = |lane: usize| {
-            let l = v[lane].as_limbs()[j / 2];
-            ((l >> (32 * (j % 2))) & 0xFFFF_FFFF) as i64
-        };
-        _mm256_setr_epi64x(limb(0), limb(1), limb(2), limb(3))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mont_mul_x4(
-        ctx: &Montgomery,
-        x: &[U256; LANES],
-        y: &[U256; LANES],
-    ) -> [U256; LANES] {
-        let mask32 = _mm256_set1_epi64x(0xFFFF_FFFF);
-        let zero = _mm256_setzero_si256();
-
-        // Broadcast the modulus limbs and m′ mod 2^32 to all lanes.
-        let mut mv = [zero; N32];
-        for (j, slot) in mv.iter_mut().enumerate() {
-            let l = ctx.m.as_limbs()[j / 2];
-            *slot = _mm256_set1_epi64x(((l >> (32 * (j % 2))) & 0xFFFF_FFFF) as i64);
-        }
-        let mp32 = _mm256_set1_epi64x((ctx.m_prime & 0xFFFF_FFFF) as i64);
-
-        // Transpose operands: one vector per 32-bit limb position.
-        let mut xv = [zero; N32];
-        let mut yv = [zero; N32];
-        for j in 0..N32 {
-            xv[j] = to_lanes32(x, j);
-            yv[j] = to_lanes32(y, j);
-        }
-
-        let mut t = [zero; N32 + 2];
-        for yi in yv {
-            // t += x * y_i
-            let mut carry = zero;
-            for j in 0..N32 {
-                let p =
-                    _mm256_add_epi64(_mm256_add_epi64(t[j], _mm256_mul_epu32(xv[j], yi)), carry);
-                t[j] = _mm256_and_si256(p, mask32);
-                carry = _mm256_srli_epi64(p, 32);
-            }
-            let s = _mm256_add_epi64(t[N32], carry);
-            t[N32] = _mm256_and_si256(s, mask32);
-            t[N32 + 1] = _mm256_add_epi64(t[N32 + 1], _mm256_srli_epi64(s, 32));
-
-            // t += mu * m, then shift one 32-bit limb.
-            let mu = _mm256_and_si256(_mm256_mul_epu32(t[0], mp32), mask32);
-            let p0 = _mm256_add_epi64(t[0], _mm256_mul_epu32(mu, mv[0]));
-            let mut carry = _mm256_srli_epi64(p0, 32);
-            for j in 1..N32 {
-                let p =
-                    _mm256_add_epi64(_mm256_add_epi64(t[j], _mm256_mul_epu32(mu, mv[j])), carry);
-                t[j - 1] = _mm256_and_si256(p, mask32);
-                carry = _mm256_srli_epi64(p, 32);
-            }
-            let s = _mm256_add_epi64(t[N32], carry);
-            t[N32 - 1] = _mm256_and_si256(s, mask32);
-            t[N32] = _mm256_add_epi64(t[N32 + 1], _mm256_srli_epi64(s, 32));
-            t[N32 + 1] = zero;
-        }
-
-        // Untranspose and apply the final per-lane conditional subtract.
-        let mut lanes = [[0u64; N32 + 1]; LANES];
-        for (j, tj) in t.iter().enumerate().take(N32 + 1) {
-            let mut buf = [0u64; LANES];
-            _mm256_storeu_si256(buf.as_mut_ptr().cast::<__m256i>(), *tj);
-            for lane in 0..LANES {
-                lanes[lane][j] = buf[lane];
-            }
-        }
-        let mut out = [U256::ZERO; LANES];
-        for lane in 0..LANES {
-            let l = &lanes[lane];
-            let mut r = U256::from_limbs([
-                l[0] | (l[1] << 32),
-                l[2] | (l[3] << 32),
-                l[4] | (l[5] << 32),
-                l[6] | (l[7] << 32),
-            ]);
-            if l[N32] != 0 || r >= ctx.m {
-                r = r.wrapping_sub(&ctx.m);
-            }
-            out[lane] = r;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,10 +111,8 @@ mod tests {
         }
     }
 
-    /// Both kernels must agree with four independent `mont_mul`s, for
-    /// generic and fast-reduction moduli alike. The dispatched kernel
-    /// is whatever the host picked; the scalar kernel is always checked
-    /// directly, so on AVX2 hosts this covers both implementations.
+    /// The lane kernel must agree with four independent `mont_mul`s,
+    /// for generic and fast-reduction moduli alike.
     #[test]
     fn lanes_match_scalar_mont_mul() {
         let mut rng = StdRng::seed_from_u64(900);
@@ -351,11 +127,9 @@ mod tests {
                     y[lane] = U256::random_below(&mut rng, &m);
                 }
                 let expect: Vec<U256> = (0..LANES).map(|l| ctx.mont_mul(&x[l], &y[l])).collect();
-                let dispatched = ctx.mont_mul_lanes(&x, &y);
-                let scalar = scalar_mont_mul_x4(&ctx, &x, &y);
+                let got = ctx.mont_mul_lanes(&x, &y);
                 for lane in 0..LANES {
-                    assert_eq!(dispatched[lane], expect[lane], "lane {lane} m={m}");
-                    assert_eq!(scalar[lane], expect[lane], "scalar lane {lane} m={m}");
+                    assert_eq!(got[lane], expect[lane], "lane {lane} m={m}");
                 }
             }
         }
@@ -374,20 +148,12 @@ mod tests {
 
     #[test]
     fn near_maximum_modulus_lanes() {
-        // Top-bit-set fast-reduction modulus exercises the overflow limb
-        // in both kernels.
+        // Top-bit-set fast-reduction modulus exercises the overflow limb.
         let m = U256::MAX;
         let ctx = Montgomery::new(&m).unwrap();
         let a = U256::MAX.wrapping_sub(&U256::from_u64(2));
         let b = U256::MAX.wrapping_sub(&U256::from_u64(5));
         let got = ctx.mont_mul_lanes(&[a; LANES], &[b; LANES]);
         assert_eq!(got, [ctx.mont_mul(&a, &b); LANES]);
-    }
-
-    #[test]
-    fn kernel_is_pinned_and_named() {
-        let k = kernel();
-        assert_eq!(kernel(), k, "kernel choice must be stable");
-        assert!(matches!(kernel_name(), "avx2" | "scalar"));
     }
 }

@@ -13,10 +13,8 @@
 //!   multiplication, with a fast-reduction path for moduli ≡ −1 mod
 //!   2⁶⁴) that backs [`modular::mod_pow`] for odd moduli and the group
 //!   layer's fixed-base exponentiation tables,
-//! - [`lanes`]: the 4-wide lane-batched Montgomery kernel (AVX2 when
-//!   the one-shot calibration shootout favors it, a scalar
-//!   instruction-parallel fallback otherwise; `CRYPTONN_FORCE_SCALAR=1`
-//!   pins the portable kernel),
+//! - [`lanes`]: the 4-wide lane-batched Montgomery kernel (four
+//!   interleaved scalar CIOS chains, the same code on every target),
 //! - [`prime`]: Miller–Rabin primality testing and (safe-)prime
 //!   generation for `GroupGen(1^λ)`.
 //!
@@ -38,6 +36,6 @@ pub mod montgomery;
 pub mod prime;
 mod uint;
 
-pub use lanes::{kernel_name, Kernel};
+pub use lanes::kernel_name;
 pub use montgomery::{Montgomery, Reducer};
 pub use uint::{ParseUintError, U256, U512};

@@ -212,9 +212,8 @@ impl Montgomery {
 
     /// Four independent Montgomery products in one call:
     /// `out[i] = x[i]·y[i]·R⁻¹ mod m`, computed by the lane-batched
-    /// kernel selected at process start (see [`crate::lanes`]) — AVX2
-    /// vertical SIMD where the CPU has it, an interleaved-ILP scalar
-    /// sweep otherwise.
+    /// kernel (see [`crate::lanes`]): four CIOS chains interleaved for
+    /// instruction-level parallelism.
     ///
     /// Unlike [`mont_mul`](Self::mont_mul), operands may be unreduced
     /// (wire-range): each is reduced on entry, so the call is

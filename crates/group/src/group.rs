@@ -315,9 +315,6 @@ impl SchnorrGroup {
     /// [`from_checked_parts`](Self::from_checked_parts) with an
     /// optional pre-built (cache-loaded) generator comb.
     fn from_checked_parts_with(p: U256, q: U256, g: U256, table: Option<FixedBaseTable>) -> Self {
-        // Pin the lane-batched kernel now, so its one-time calibration
-        // shootout never lands inside a timed decrypt path.
-        cryptonn_bigint::lanes::kernel();
         let mont_p = Montgomery::new(&p).expect("p is an odd prime");
         let mont_q = Montgomery::new(&q).expect("q is an odd prime");
         let g_table = table.unwrap_or_else(|| FixedBaseTable::build(&mont_p, &g));

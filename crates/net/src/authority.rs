@@ -244,6 +244,11 @@ struct AuthorityEntry {
 
 type AuthorityRegistry = Arc<Mutex<HashMap<SessionId, AuthorityEntry>>>;
 
+/// A handle on every live peer link, keyed by accept order: a clone of
+/// each accepted stream, removed by its handler on exit. Shutting these
+/// down is what wakes handlers blocked in `recv` so the pool can join.
+type LinkRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
 /// The networked key authority daemon: a session-keyed registry of
 /// [`AuthoritySession`]s behind a TCP accept loop on a bounded pool.
 pub struct AuthorityServer {
@@ -251,6 +256,7 @@ pub struct AuthorityServer {
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     registry: AuthorityRegistry,
+    links: LinkRegistry,
 }
 
 impl AuthorityServer {
@@ -264,21 +270,33 @@ impl AuthorityServer {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let registry: AuthorityRegistry = Arc::new(Mutex::new(HashMap::new()));
+        let links: LinkRegistry = Arc::new(Mutex::new(HashMap::new()));
         let accept = {
             let shutdown = Arc::clone(&shutdown);
             let registry = Arc::clone(&registry);
+            let links = Arc::clone(&links);
             std::thread::spawn(move || {
                 let pool = ThreadPool::new(options.pool_threads);
-                for stream in listener.incoming() {
+                for (id, stream) in (0u64..).zip(listener.incoming()) {
+                    let Ok(stream) = stream else { continue };
+                    // Register before checking the flag: `stop` raises
+                    // the flag and then sweeps the links, so a link is
+                    // either swept or seen after the flag and dropped.
+                    if let Ok(handle) = stream.try_clone() {
+                        links.lock().insert(id, handle);
+                    }
                     if shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
                     let registry = Arc::clone(&registry);
+                    let links = Arc::clone(&links);
                     // `execute` blocks while the pool is saturated:
                     // backpressure on the accept loop rather than
                     // unbounded threads.
-                    pool.execute(move || serve_authority_conn(stream, options, &registry));
+                    pool.execute(move || {
+                        serve_authority_conn(stream, options, &registry);
+                        links.lock().remove(&id);
+                    });
                 }
                 // Dropping the pool joins the in-flight handlers.
             })
@@ -288,6 +306,7 @@ impl AuthorityServer {
             shutdown,
             accept: Some(accept),
             registry,
+            links,
         })
     }
 
@@ -301,14 +320,22 @@ impl AuthorityServer {
         self.registry.lock().len()
     }
 
-    /// Stops accepting and waits for the accept loop. Live connections
-    /// finish their current exchange and drop on the next read.
+    /// Stops accepting, closes every live peer link, and waits for the
+    /// accept loop and every connection handler to exit. A peer holding
+    /// a link (a training server's [`RemoteAuthority`] channel, a
+    /// [`ThresholdAuthority`] node connection) sees the disconnect on
+    /// its next exchange.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Handlers block in `recv` with no deadline; severing their
+        // sockets is what lets the pool join them.
+        for link in self.links.lock().values() {
+            let _ = link.shutdown(std::net::Shutdown::Both);
+        }
         // Poke the listener so the blocking accept wakes up.
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.accept.take() {

@@ -521,10 +521,10 @@ impl InferenceFleet {
             })
     }
 
-    /// Which readiness backend the front door runs on (`"epoll"` or
-    /// `"poll"`).
+    /// The front door's readiness backend: `"poll"` (the reactor's
+    /// only one), or `"none"` once the fleet has shut down.
     pub fn backend(&self) -> &'static str {
-        self.reactor.as_ref().map_or("none", |r| r.backend())
+        self.reactor.as_ref().map_or("none", |_| "poll")
     }
 
     /// Stops the loop, drops every connection, and joins the shard

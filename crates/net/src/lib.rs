@@ -16,11 +16,10 @@
 //!   bound — both proven equivalent to the blocking codec by the
 //!   `codec_proptests` suite.
 //! - [`reactor`] — [`Reactor`]: a hand-rolled readiness-driven loop
-//!   (epoll on Linux, poll fallback; `CRYPTONN_FORCE_POLL=1` pins the
-//!   fallback) multiplexing every connection on one thread, with a
-//!   self-pipe command queue for off-loop senders, per-connection
-//!   backpressure in both directions, and handshake/idle timeouts
-//!   (DESIGN.md §15).
+//!   (`poll(2)` on every platform) multiplexing every connection on one
+//!   thread, with a self-pipe command queue for off-loop senders,
+//!   per-connection backpressure in both directions, and
+//!   handshake/idle timeouts (DESIGN.md §15).
 //! - [`server`] — [`SessionServer`]: the concurrent multi-session
 //!   daemon — a [`SessionId`]-keyed registry behind the reactor (every
 //!   connection is admitted and pumped by the one loop thread), bounded

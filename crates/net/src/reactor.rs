@@ -1,9 +1,9 @@
-//! A hand-rolled readiness-driven reactor: one thread, one `epoll`
-//! instance, thousands of framed connections.
+//! A hand-rolled readiness-driven reactor: one thread, one `poll(2)`
+//! set, thousands of framed connections.
 //!
 //! Every connection is nonblocking, a single loop thread waits for
-//! readiness (`epoll` on Linux, portable `poll(2)` otherwise — no
-//! external async runtime), and per-connection state is nothing but an
+//! readiness (`poll(2)` on every platform — no external async
+//! runtime), and per-connection state is nothing but an
 //! incremental [`FrameDecoder`] and a bounded [`OutboundQueue`] — an
 //! idle connection costs a slab entry, not a thread. The protocol
 //! state machines never see the readiness machinery: the loop hands
@@ -12,11 +12,10 @@
 //!
 //! ## Structure
 //!
-//! - **Poller** — `epoll` via direct FFI (no `libc` dependency is
-//!   reachable offline), level-triggered; a `poll(2)` fallback rebuilds
-//!   its fd array per wait and is selectable at runtime with
-//!   `CRYPTONN_FORCE_POLL=1` (it also engages automatically where
-//!   `epoll` is unavailable).
+//! - **Poller** — `poll(2)` via one direct FFI declaration (no `libc`
+//!   dependency is reachable offline), level-triggered. The interest
+//!   set *is* the `pollfd` array, indexed by token, so a wait neither
+//!   rebuilds nor allocates it.
 //! - **Waker** — a nonblocking `UnixStream` self-pipe. Worker threads
 //!   push commands (outbound frames, closes, nudges) into a shared
 //!   queue through a [`ReactorHandle`] and write one byte to the pipe;
@@ -73,43 +72,6 @@ struct Readiness {
     hangup: bool,
 }
 
-#[cfg(target_os = "linux")]
-mod epoll_sys {
-    use std::os::raw::c_int;
-
-    // The kernel packs epoll_event to 12 bytes only on x86; everywhere
-    // else (aarch64 included) it is a regular 16-byte struct with
-    // `data` at offset 8. Mirror libc's per-arch gate so epoll_wait
-    // writes entries with the stride we allocate.
-    #[repr(C)]
-    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
-    #[derive(Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    pub const EPOLLIN: u32 = 0x1;
-    pub const EPOLLOUT: u32 = 0x4;
-    pub const EPOLLERR: u32 = 0x8;
-    pub const EPOLLHUP: u32 = 0x10;
-    pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
-    pub const EPOLL_CTL_MOD: c_int = 3;
-    pub const EPOLL_CLOEXEC: c_int = 0x80000;
-
-    unsafe extern "C" {
-        pub fn epoll_create1(flags: c_int) -> c_int;
-        pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        pub fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-    }
-}
-
 mod poll_sys {
     use std::os::raw::{c_int, c_ulong};
 
@@ -131,141 +93,48 @@ mod poll_sys {
     }
 }
 
-/// The readiness backend: `epoll` where available (interest registered
-/// incrementally with the kernel), else `poll(2)` (the interest set is
-/// rebuilt from registrations on every wait).
-enum Poller {
-    #[cfg(target_os = "linux")]
-    Epoll {
-        epfd: std::os::fd::OwnedFd,
-        events: Vec<epoll_sys::EpollEvent>,
-    },
-    Poll {
-        /// `fd -> (token, want_read, want_write)`, insertion-ordered.
-        registered: Vec<(RawFd, u64, bool, bool)>,
-    },
+/// The readiness backend: `poll(2)` over an interest set kept *as* the
+/// `pollfd` array, indexed by token. Tokens are dense (two fixed ones,
+/// then one per slab slot), so registering, re-arming and removing are
+/// O(1) writes into the array, and `wait` hands it to the kernel as is.
+/// A vacant entry has `fd = -1`, which `poll(2)` skips.
+struct Poller {
+    fds: Vec<poll_sys::PollFd>,
 }
 
+const VACANT: poll_sys::PollFd = poll_sys::PollFd {
+    fd: -1,
+    events: 0,
+    revents: 0,
+};
+
 impl Poller {
-    fn new() -> std::io::Result<Self> {
-        let force_poll = std::env::var("CRYPTONN_FORCE_POLL").is_ok_and(|v| v == "1");
-        #[cfg(target_os = "linux")]
-        if !force_poll {
-            let epfd = unsafe { epoll_sys::epoll_create1(epoll_sys::EPOLL_CLOEXEC) };
-            if epfd >= 0 {
-                let epfd =
-                    unsafe { <std::os::fd::OwnedFd as std::os::fd::FromRawFd>::from_raw_fd(epfd) };
-                return Ok(Poller::Epoll {
-                    epfd,
-                    events: vec![epoll_sys::EpollEvent { events: 0, data: 0 }; 1024],
-                });
-            }
-            // epoll unavailable (exotic kernel config): fall through.
-        }
-        let _ = force_poll;
-        Ok(Poller::Poll {
-            registered: Vec::new(),
-        })
+    fn events(want_read: bool, want_write: bool) -> i16 {
+        (if want_read { poll_sys::POLLIN } else { 0 })
+            | (if want_write { poll_sys::POLLOUT } else { 0 })
     }
 
-    /// Which backend is live — surfaced in stats so tests can assert
-    /// the fallback actually engaged.
-    fn backend(&self) -> &'static str {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll { .. } => "epoll",
-            Poller::Poll { .. } => "poll",
+    fn add(&mut self, fd: RawFd, token: u64, want_read: bool, want_write: bool) {
+        let i = token as usize;
+        if self.fds.len() <= i {
+            self.fds.resize(i + 1, VACANT);
         }
-    }
-
-    #[cfg(target_os = "linux")]
-    fn epoll_ctl(
-        epfd: RawFd,
-        op: std::os::raw::c_int,
-        fd: RawFd,
-        mask: u32,
-        token: u64,
-    ) -> std::io::Result<()> {
-        let mut ev = epoll_sys::EpollEvent {
-            events: mask,
-            data: token,
+        self.fds[i] = poll_sys::PollFd {
+            fd,
+            events: Self::events(want_read, want_write),
+            revents: 0,
         };
-        let rc = unsafe { epoll_sys::epoll_ctl(epfd, op, fd, &mut ev) };
-        if rc == 0 {
-            Ok(())
-        } else {
-            Err(std::io::Error::last_os_error())
+    }
+
+    fn modify(&mut self, token: u64, want_read: bool, want_write: bool) {
+        if let Some(pfd) = self.fds.get_mut(token as usize) {
+            pfd.events = Self::events(want_read, want_write);
         }
     }
 
-    #[cfg(target_os = "linux")]
-    fn mask(want_read: bool, want_write: bool) -> u32 {
-        let mut m = 0;
-        if want_read {
-            m |= epoll_sys::EPOLLIN;
-        }
-        if want_write {
-            m |= epoll_sys::EPOLLOUT;
-        }
-        m
-    }
-
-    fn add(
-        &mut self,
-        fd: RawFd,
-        token: u64,
-        want_read: bool,
-        want_write: bool,
-    ) -> std::io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll { epfd, .. } => Self::epoll_ctl(
-                epfd.as_raw_fd(),
-                epoll_sys::EPOLL_CTL_ADD,
-                fd,
-                Self::mask(want_read, want_write),
-                token,
-            ),
-            Poller::Poll { registered } => {
-                registered.push((fd, token, want_read, want_write));
-                Ok(())
-            }
-        }
-    }
-
-    fn modify(
-        &mut self,
-        fd: RawFd,
-        token: u64,
-        want_read: bool,
-        want_write: bool,
-    ) -> std::io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll { epfd, .. } => Self::epoll_ctl(
-                epfd.as_raw_fd(),
-                epoll_sys::EPOLL_CTL_MOD,
-                fd,
-                Self::mask(want_read, want_write),
-                token,
-            ),
-            Poller::Poll { registered } => {
-                if let Some(entry) = registered.iter_mut().find(|(f, ..)| *f == fd) {
-                    entry.2 = want_read;
-                    entry.3 = want_write;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn remove(&mut self, fd: RawFd) {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll { epfd, .. } => {
-                let _ = Self::epoll_ctl(epfd.as_raw_fd(), epoll_sys::EPOLL_CTL_DEL, fd, 0, 0);
-            }
-            Poller::Poll { registered } => registered.retain(|(f, ..)| *f != fd),
+    fn remove(&mut self, token: u64) {
+        if let Some(pfd) = self.fds.get_mut(token as usize) {
+            *pfd = VACANT;
         }
     }
 
@@ -273,55 +142,29 @@ impl Poller {
     /// `out`.
     fn wait(&mut self, timeout: Duration, out: &mut Vec<Readiness>) {
         let millis = timeout.as_millis().min(i32::MAX as u128) as i32;
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll { epfd, events } => {
-                let n = unsafe {
-                    epoll_sys::epoll_wait(
-                        epfd.as_raw_fd(),
-                        events.as_mut_ptr(),
-                        events.len() as i32,
-                        millis,
-                    )
-                };
-                for ev in events.iter().take(n.max(0) as usize) {
-                    let bits = { ev.events };
-                    out.push(Readiness {
-                        token: { ev.data },
-                        readable: bits & epoll_sys::EPOLLIN != 0,
-                        writable: bits & epoll_sys::EPOLLOUT != 0,
-                        hangup: bits & (epoll_sys::EPOLLERR | epoll_sys::EPOLLHUP) != 0,
-                    });
-                }
+        // SAFETY: `fds` is an exclusively borrowed, initialised array of
+        // `repr(C)` pollfd entries and `nfds` is its length; the kernel
+        // writes only the `revents` fields within it.
+        let n = unsafe {
+            poll_sys::poll(
+                self.fds.as_mut_ptr(),
+                self.fds.len() as std::os::raw::c_ulong,
+                millis,
+            )
+        };
+        if n <= 0 {
+            return;
+        }
+        for (token, pfd) in self.fds.iter().enumerate() {
+            if pfd.revents == 0 {
+                continue;
             }
-            Poller::Poll { registered } => {
-                let mut fds: Vec<poll_sys::PollFd> = registered
-                    .iter()
-                    .map(|&(fd, _, r, w)| poll_sys::PollFd {
-                        fd,
-                        events: if r { poll_sys::POLLIN } else { 0 }
-                            | if w { poll_sys::POLLOUT } else { 0 },
-                        revents: 0,
-                    })
-                    .collect();
-                let n = unsafe {
-                    poll_sys::poll(fds.as_mut_ptr(), fds.len() as std::os::raw::c_ulong, millis)
-                };
-                if n <= 0 {
-                    return;
-                }
-                for (pfd, &(_, token, ..)) in fds.iter().zip(registered.iter()) {
-                    if pfd.revents == 0 {
-                        continue;
-                    }
-                    out.push(Readiness {
-                        token,
-                        readable: pfd.revents & poll_sys::POLLIN != 0,
-                        writable: pfd.revents & poll_sys::POLLOUT != 0,
-                        hangup: pfd.revents & (poll_sys::POLLERR | poll_sys::POLLHUP) != 0,
-                    });
-                }
-            }
+            out.push(Readiness {
+                token: token as u64,
+                readable: pfd.revents & poll_sys::POLLIN != 0,
+                writable: pfd.revents & poll_sys::POLLOUT != 0,
+                hangup: pfd.revents & (poll_sys::POLLERR | poll_sys::POLLHUP) != 0,
+            });
         }
     }
 }
@@ -659,20 +502,10 @@ impl LoopCore {
         let Some(Some(c)) = self.conns.get(slot as usize) else {
             return;
         };
-        let fd = c.stream.as_raw_fd();
-        let gen = c.gen;
         let want_read = !c.read_suspended && c.parked.is_none();
         let want_write = c.want_write;
-        if self
-            .poller
-            .modify(fd, TOKEN_CONN_BASE + slot as u64, want_read, want_write)
-            .is_err()
-        {
-            // A connection the kernel will no longer watch can never
-            // make progress again — retire it instead of stranding it
-            // in the slab.
-            self.dead.push_back(ConnId { slot, gen });
-        }
+        self.poller
+            .modify(TOKEN_CONN_BASE + slot as u64, want_read, want_write);
     }
 
     fn send_bytes(&mut self, id: ConnId, frame: Vec<u8>) -> Result<(), NetError> {
@@ -766,6 +599,7 @@ impl LoopCore {
                         // not a protocol state.)
                         continue;
                     }
+                    let fd = stream.as_raw_fd();
                     let gen = self.next_gen;
                     self.next_gen = self.next_gen.wrapping_add(1);
                     let conn = Conn {
@@ -791,24 +625,8 @@ impl LoopCore {
                             (self.conns.len() - 1) as u32
                         }
                     };
-                    let fd = self.conns[slot as usize]
-                        .as_ref()
-                        .expect("just inserted")
-                        .stream
-                        .as_raw_fd();
-                    if self
-                        .poller
-                        .add(fd, TOKEN_CONN_BASE + slot as u64, true, false)
-                        .is_err()
-                    {
-                        // EMFILE/ENOSPC under load: a slot the kernel
-                        // never watches would sit occupied forever.
-                        // Close and free it now.
-                        let c = self.conns[slot as usize].take().expect("just inserted");
-                        let _ = c.stream.shutdown(std::net::Shutdown::Both);
-                        self.freed_this_iter.push(slot);
-                        continue;
-                    }
+                    self.poller
+                        .add(fd, TOKEN_CONN_BASE + slot as u64, true, false);
                     self.stats.accepted.fetch_add(1, Ordering::Relaxed);
                     let live = self.stats.live.fetch_add(1, Ordering::Relaxed) + 1;
                     self.stats.peak.fetch_max(live, Ordering::Relaxed);
@@ -841,7 +659,7 @@ impl LoopCore {
             return false;
         }
         let c = self.conns[slot].take().expect("checked above");
-        self.poller.remove(c.stream.as_raw_fd());
+        self.poller.remove(TOKEN_CONN_BASE + id.slot as u64);
         let _ = c.stream.shutdown(std::net::Shutdown::Both);
         drop(c);
         self.freed_this_iter.push(id.slot);
@@ -1084,7 +902,6 @@ pub struct Reactor {
     handle: ReactorHandle,
     join: Option<JoinHandle<()>>,
     stats: Arc<StatsInner>,
-    backend: &'static str,
 }
 
 impl Reactor {
@@ -1094,7 +911,7 @@ impl Reactor {
     ///
     /// # Errors
     ///
-    /// Listener/poller/self-pipe setup failures.
+    /// Listener and self-pipe setup failures.
     pub fn start<A: ReactorApp>(
         listener: TcpListener,
         options: ReactorOptions,
@@ -1106,10 +923,9 @@ impl Reactor {
         waker_rx.set_nonblocking(true)?;
         waker_tx.set_nonblocking(true)?;
 
-        let mut poller = Poller::new()?;
-        let backend = poller.backend();
-        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
-        poller.add(waker_rx.as_raw_fd(), TOKEN_WAKER, true, false)?;
+        let mut poller = Poller { fds: Vec::new() };
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false);
+        poller.add(waker_rx.as_raw_fd(), TOKEN_WAKER, true, false);
 
         let inner = Arc::new(HandleInner {
             queue: Mutex::new(Vec::new()),
@@ -1142,7 +958,6 @@ impl Reactor {
             handle,
             join: Some(join),
             stats,
-            backend,
         })
     }
 
@@ -1163,12 +978,6 @@ impl Reactor {
             live: self.stats.live.load(Ordering::Relaxed),
             peak: self.stats.peak.load(Ordering::Relaxed),
         }
-    }
-
-    /// Which readiness backend the loop runs on (`"epoll"` or
-    /// `"poll"`).
-    pub fn backend(&self) -> &'static str {
-        self.backend
     }
 
     /// Stops the loop and joins it. The app (and whatever worker

@@ -11,13 +11,13 @@ use std::sync::Arc;
 use cryptonn_core::Objective;
 use cryptonn_data::clinic_dataset;
 use cryptonn_net::{
-    run_client, AuthorityOptions, AuthorityServer, NetError, RemoteAuthority, ServerOptions,
-    SessionOutcomeKind, SessionServer, TcpTransport, DEFAULT_MAX_FRAME,
+    run_client, AuthorityConnector, AuthorityOptions, AuthorityServer, NetError, RemoteAuthority,
+    ServerOptions, SessionOutcomeKind, SessionServer, TcpTransport, DEFAULT_MAX_FRAME,
 };
 use cryptonn_parallel::Parallelism;
 use cryptonn_protocol::{
-    mlp_session_config, round_robin_shards, ClientId, ClientSession, MlpSpec, SessionConfig,
-    SessionId, SessionSummary, TrainingSessionRunner, WireMessage,
+    mlp_session_config, round_robin_shards, ClientId, ClientSession, KeyRequest, MlpSpec,
+    SessionConfig, SessionId, SessionSummary, TrainingSessionRunner, WireMessage,
 };
 
 fn small_config(data: &cryptonn_data::Dataset, clients: u32, epochs: u32) -> SessionConfig {
@@ -532,4 +532,35 @@ fn config_mismatch_on_an_existing_session_is_rejected() {
     server.shutdown();
     authority.shutdown();
     let _ = c0.join().expect("client 0 thread");
+}
+
+/// Shutting the authority daemon down must not wait on its peers: a
+/// handler blocked reading a live link (a server's key channel, a
+/// connection that never sent `Hello`) is severed, the call returns,
+/// and the peer sees the disconnect on its next exchange.
+#[test]
+fn authority_shutdown_returns_while_peer_links_are_open() {
+    let data = clinic_dataset(12, 62);
+    let config = small_config(&data, 1, 1);
+    let authority = AuthorityServer::start("127.0.0.1:0", AuthorityOptions::default())
+        .expect("authority binds");
+    let addr = authority.local_addr();
+    let (_params, mut channel) = RemoteAuthority::new(addr)
+        .connect(SessionId(31), &config)
+        .expect("authority link");
+    let _silent = std::net::TcpStream::connect(addr).expect("pre-Hello link");
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        authority.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("AuthorityServer::shutdown hung on an open peer link");
+    stopper.join().expect("shutdown thread");
+    assert!(
+        channel.exchange(KeyRequest::FeipMpk(3)).is_err(),
+        "the severed link must fail the next exchange"
+    );
 }

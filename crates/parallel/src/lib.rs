@@ -13,8 +13,9 @@
 //! a dependency cycle through `cryptonn-smc`.
 //!
 //! For the long-lived daemon threads of `cryptonn-net` it also provides
-//! the bounded [`ThreadPool`] (connection handlers) and the joinable,
-//! panic-containing [`WorkerSet`] (per-session workers with optional
+//! the bounded [`ThreadPool`] (the authority daemon's per-link
+//! handlers) and the joinable, panic-containing [`WorkerSet`] (the
+//! session daemon's per-session workers, with optional
 //! restart-on-panic).
 
 /// Computes `f(0), f(1), …, f(n-1)` across `threads` OS threads,
@@ -53,26 +54,24 @@ where
     results.into_iter().flatten().collect()
 }
 
-/// A bounded pool of worker threads for long-running jobs — the
-/// session server's thread-per-connection model without unbounded
-/// thread growth.
-///
-/// Capacity is tracked as *slots*: a submission reserves a slot before
-/// the job is queued, and a worker frees it only when the job
-/// finishes, so at most `capacity` jobs exist in the pool at any
-/// moment — queued or running. [`execute`](Self::execute) *blocks*
-/// while every slot is taken (saturation backpressures the submitter;
-/// an accept loop stops accepting), while
-/// [`try_execute`](Self::try_execute) refuses instead of waiting.
+/// The pool's idle-slot counter and the condition signalled when a
+/// finished job frees a slot.
 #[derive(Debug)]
 struct PoolSlots {
     idle: std::sync::Mutex<usize>,
     freed: std::sync::Condvar,
 }
 
-/// A bounded pool: capacity is tracked by an internal idle-slot
-/// counter; [`execute`](Self::execute) waits for a slot while
-/// [`try_execute`](Self::try_execute) refuses instead.
+/// A bounded pool of worker threads for long-running jobs —
+/// thread-per-connection without unbounded thread growth.
+///
+/// Capacity is tracked as *slots*: a submission reserves a slot before
+/// the job is queued, and a worker frees it only when the job
+/// finishes, so at most `threads` jobs exist in the pool at any moment
+/// — queued or running. [`execute`](Self::execute) *blocks* while
+/// every slot is taken: saturation backpressures the submitter, and an
+/// accept loop stops accepting. Dropping the pool joins every worker,
+/// so it waits for the jobs in flight to return.
 #[derive(Debug)]
 pub struct ThreadPool {
     tx: Option<std::sync::mpsc::Sender<Box<dyn FnOnce() + Send>>>,
@@ -104,10 +103,10 @@ impl ThreadPool {
                     match job {
                         Ok(job) => {
                             // A panicking job must neither kill the
-                            // worker nor leak its capacity slot —
-                            // otherwise `capacity` hostile jobs would
-                            // wedge the pool shut permanently. The
-                            // panic is contained to the job.
+                            // worker nor leak its slot — otherwise
+                            // `threads` hostile jobs would wedge the
+                            // pool shut permanently. The panic is
+                            // contained to the job.
                             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                             if let Ok(mut idle) = slots.idle.lock() {
                                 *idle += 1;
@@ -126,19 +125,6 @@ impl ThreadPool {
         }
     }
 
-    /// Number of worker threads.
-    pub fn capacity(&self) -> usize {
-        self.workers.len()
-    }
-
-    fn submit(&self, job: Box<dyn FnOnce() + Send>) {
-        self.tx
-            .as_ref()
-            .expect("pool is live until dropped")
-            .send(job)
-            .expect("workers outlive the pool handle");
-    }
-
     /// Runs `job` on a worker, blocking until a slot frees.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
         {
@@ -148,23 +134,11 @@ impl ThreadPool {
             }
             *idle -= 1;
         }
-        self.submit(Box::new(job));
-    }
-
-    /// Runs `job` if a slot is free, or returns `false` without running
-    /// it when the pool is saturated — the reject-when-saturated arm
-    /// for callers that must not block.
-    #[must_use]
-    pub fn try_execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        {
-            let mut idle = self.slots.idle.lock().expect("pool lock poisoned");
-            if *idle == 0 {
-                return false;
-            }
-            *idle -= 1;
-        }
-        self.submit(Box::new(job));
-        true
+        self.tx
+            .as_ref()
+            .expect("pool is live until dropped")
+            .send(Box::new(job))
+            .expect("workers outlive the pool handle");
     }
 }
 
@@ -338,7 +312,6 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
         let pool = ThreadPool::new(2);
-        assert_eq!(pool.capacity(), 2);
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..8 {
             let ran = Arc::clone(&ran);
@@ -348,30 +321,6 @@ mod tests {
         }
         drop(pool); // joins workers
         assert_eq!(ran.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn saturated_pool_refuses_try_execute() {
-        use std::sync::mpsc;
-        let pool = ThreadPool::new(1);
-        let (hold_tx, hold_rx) = mpsc::channel::<()>();
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        pool.execute(move || {
-            started_tx.send(()).unwrap();
-            hold_rx.recv().unwrap();
-        });
-        started_rx.recv().unwrap(); // the only worker is now busy
-        assert!(!pool.try_execute(|| {}));
-        hold_tx.send(()).unwrap(); // release the worker
-                                   // Eventually accepts again (the worker must cycle back to recv).
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            if pool.try_execute(|| {}) {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "pool never freed");
-            std::thread::yield_now();
-        }
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //!   bytes can fail a connection, never panic or balloon a process.
 //!
 //! The format selector [`WireFormat::from_env`] reads `CRYPTONN_WIRE`
-//! (`binary` opts in; anything else keeps the seed JSON), mirroring
-//! the `CRYPTONN_FORCE_SCALAR` idiom. [`FormatCell`] carries the
-//! per-connection negotiated format between split transport halves.
+//! (`binary` opts in; anything else keeps the seed JSON).
+//! [`FormatCell`] carries the per-connection negotiated format between
+//! split transport halves.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -97,8 +97,7 @@ pub enum WireFormat {
 impl WireFormat {
     /// Resolves the process-default format from the `CRYPTONN_WIRE`
     /// environment variable: `binary` opts into the binary codec,
-    /// anything else — including unset — keeps the seed JSON. Mirrors
-    /// the `CRYPTONN_FORCE_SCALAR` selector.
+    /// anything else — including unset — keeps the seed JSON.
     pub fn from_env() -> Self {
         match std::env::var("CRYPTONN_WIRE").as_deref() {
             Ok("binary") => WireFormat::Binary,
