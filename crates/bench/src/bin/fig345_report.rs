@@ -143,6 +143,6 @@ fn main() {
     println!(
         "\nShape checks vs paper: times scale ~linearly in k; multiplication ≫\n\
          addition (larger dlog range); parallel ≪ serial. Absolute numbers\n\
-         differ from the paper's Python+GMP testbed; see EXPERIMENTS.md."
+         differ from the paper's Python+GMP testbed; see DESIGN.md §7."
     );
 }

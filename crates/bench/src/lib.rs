@@ -2,8 +2,8 @@
 //!
 //! Shared fixtures and workload generators for the benchmark harness
 //! that regenerates every table and figure of the CryptoNN evaluation
-//! (§IV of the paper). See EXPERIMENTS.md for the experiment index and
-//! paper-vs-measured results.
+//! (§IV of the paper). DESIGN.md §7 (Ablation index) lists the
+//! experiments.
 //!
 //! All sweeps default to CI-sized parameters; set `CRYPTONN_BENCH_FULL=1`
 //! to run paper-scale sweeps (slower by orders of magnitude, exactly as

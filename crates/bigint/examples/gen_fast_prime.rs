@@ -13,6 +13,9 @@
 //! - `q = (p−1)/2 = (k/2)·2^64 − 1` (because `k` is even), so the
 //!   order-`q` scalar field gets the *same* fast reduction for free.
 //!
+//! The shape only matters for multi-limb moduli: any modulus below
+//! `2^64` takes `Reducer::OneLimb` instead, whatever its low limb.
+//!
 //! Seeded so the published parameters are reproducible.
 
 use cryptonn_bigint::prime::{is_prime, is_prime_with_rounds};

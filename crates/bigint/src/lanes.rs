@@ -58,7 +58,10 @@ pub(crate) fn mont_mul_x4(ctx: &Montgomery, x: &[U256; LANES], y: &[U256; LANES]
 
             // tl += mu * m, then shift one limb (see Montgomery::mont_mul).
             let (mu, mut carry) = match ctx.reducer {
-                Reducer::Generic => {
+                // OneLimb never reaches this kernel (see
+                // Montgomery::mont_mul_lanes); the generic round is
+                // exact for it all the same.
+                Reducer::Generic | Reducer::OneLimb => {
                     let mu = tl[0].wrapping_mul(ctx.m_prime);
                     let (_, carry) = mac(tl[0], mu, m[0], 0);
                     (mu, carry)
@@ -93,17 +96,29 @@ pub(crate) fn mont_mul_x4(ctx: &Montgomery, x: &[U256; LANES], y: &[U256; LANES]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
-    fn random_modulus(rng: &mut StdRng, fast: bool) -> U256 {
+    /// A random odd modulus that selects `reducer`.
+    fn random_modulus(rng: &mut StdRng, reducer: Reducer) -> U256 {
         loop {
             let mut m = U256::random(rng);
-            if fast {
+            match reducer {
                 // Force m ≡ -1 (mod 2^64).
-                let limbs = m.to_limbs();
-                m = U256::from_limbs([u64::MAX, limbs[1], limbs[2], limbs[3]]);
-            } else if m.is_even() {
-                m = m.wrapping_add(&U256::ONE);
+                Reducer::FastP64 => {
+                    let limbs = m.to_limbs();
+                    m = U256::from_limbs([u64::MAX, limbs[1], limbs[2], limbs[3]]);
+                }
+                // One limb, top bit set half the time so the u128
+                // carry of the first REDC round is exercised.
+                Reducer::OneLimb => {
+                    let top = if rng.random::<bool>() { 1 << 63 } else { 0 };
+                    m = U256::from_u64(m.as_limbs()[0] | top | 1);
+                }
+                Reducer::Generic => {
+                    if m.is_even() {
+                        m = m.wrapping_add(&U256::ONE);
+                    }
+                }
             }
             if m > U256::ONE && m.as_limbs()[0] != 0 {
                 return m;
@@ -112,14 +127,15 @@ mod tests {
     }
 
     /// The lane kernel must agree with four independent `mont_mul`s,
-    /// for generic and fast-reduction moduli alike.
+    /// for generic, fast-reduction and one-limb moduli alike.
     #[test]
     fn lanes_match_scalar_mont_mul() {
         let mut rng = StdRng::seed_from_u64(900);
-        for fast in [false, true] {
+        for reducer in [Reducer::Generic, Reducer::FastP64, Reducer::OneLimb] {
             for _ in 0..64 {
-                let m = random_modulus(&mut rng, fast);
+                let m = random_modulus(&mut rng, reducer);
                 let ctx = Montgomery::new(&m).unwrap();
+                assert_eq!(ctx.reducer(), reducer, "m={m}");
                 let mut x = [U256::ZERO; LANES];
                 let mut y = [U256::ZERO; LANES];
                 for lane in 0..LANES {

@@ -12,7 +12,9 @@
 //! the CIOS (coarsely integrated operand scanning) product
 //! `mont_mul(x, y) = x·y·R⁻¹ mod m`, which maps Montgomery forms to
 //! Montgomery forms. Conversions are themselves single `mont_mul`s
-//! against the precomputed `R² mod m`.
+//! against the precomputed `R² mod m`. A modulus below `2^64` keeps the
+//! same `R` but skips the 4-limb CIOS for a one-limb product
+//! ([`Reducer::OneLimb`]), so Montgomery forms never depend on the arm.
 //!
 //! The context is meant to be built once per modulus and reused — the
 //! group layer caches one per `(p, q)` pair, and every fixed-base table
@@ -26,10 +28,12 @@ const N: usize = U256::LIMBS;
 
 /// The reduction strategy a [`Montgomery`] context dispatches through.
 ///
-/// Selected once at construction from the shape of the modulus; the
-/// fast arm is picked automatically whenever it applies, so callers
+/// Selected once at construction from the shape of the modulus; a
+/// cheaper arm is picked automatically whenever it applies, so callers
 /// never choose (they can [inspect](Montgomery::reducer) the choice for
-/// telemetry).
+/// telemetry). Every arm computes the same reduced residue
+/// `x·y·2⁻²⁵⁶ mod m`, so Montgomery forms, persisted tables and wire
+/// bytes do not depend on the arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reducer {
     /// The generic CIOS round: `mu = t₀·m′ mod 2^64`, then a full
@@ -43,6 +47,14 @@ pub enum Reducer {
     /// multiply gone). Two of the nine 64×64 multiplies in every CIOS
     /// round disappear.
     FastP64,
+    /// One-limb modulus `m < 2^64` (the `Bits32`/`Bits64` groups): the
+    /// three upper limbs of every operand are zero, so the product is
+    /// one `u128` multiply followed by four single-limb REDC rounds
+    /// (`R` stays `2^256`). Only the first round can carry past 128
+    /// bits; it is taken with an explicit carry. Picked before
+    /// [`FastP64`](Self::FastP64), which then only ever applies to
+    /// multi-limb moduli.
+    OneLimb,
 }
 
 /// A reusable Montgomery reduction context for one odd modulus.
@@ -106,9 +118,13 @@ impl Montgomery {
         for _ in 0..U256::BITS {
             r2 = crate::modular::mod_add(&r2, &r2, m);
         }
-        // m ≡ -1 (mod 2^64) ⟺ the low limb is all-ones ⟺ m′ = 1; the
-        // CIOS round then sheds two multiplies (see [`Reducer::FastP64`]).
-        let reducer = if m0 == Limb::MAX {
+        // A one-limb modulus skips the 4-limb CIOS entirely (see
+        // [`Reducer::OneLimb`]). Otherwise m ≡ -1 (mod 2^64) ⟺ the low
+        // limb is all-ones ⟺ m′ = 1; the CIOS round then sheds two
+        // multiplies (see [`Reducer::FastP64`]).
+        let reducer = if m.bit_len() <= Limb::BITS as usize {
+            Reducer::OneLimb
+        } else if m0 == Limb::MAX {
             debug_assert_eq!(m_prime, 1);
             Reducer::FastP64
         } else {
@@ -156,6 +172,9 @@ impl Montgomery {
     /// plain product.
     pub fn mont_mul(&self, x: &U256, y: &U256) -> U256 {
         debug_assert!(x < &self.m && y < &self.m, "operands must be reduced");
+        if self.reducer == Reducer::OneLimb {
+            return U256::from_u64(self.mont_mul_one_limb(x.as_limbs()[0], y.as_limbs()[0]));
+        }
         let m = self.m.as_limbs();
         let x = x.as_limbs();
         let y = y.as_limbs();
@@ -176,7 +195,9 @@ impl Montgomery {
 
             // t += mu * m, then shift one limb: mu kills t[0] exactly.
             let (mu, mut carry) = match self.reducer {
-                Reducer::Generic => {
+                // OneLimb returned above; the generic round is exact for
+                // it all the same.
+                Reducer::Generic | Reducer::OneLimb => {
                     let mu = t[0].wrapping_mul(self.m_prime);
                     let (_, carry) = mac(t[0], mu, m[0], 0);
                     (mu, carry)
@@ -205,6 +226,30 @@ impl Montgomery {
         r
     }
 
+    /// [`Reducer::OneLimb`]'s product: `x·y·2⁻²⁵⁶ mod m` for
+    /// `x, y < m < 2^64`, as four REDC rounds of one limb each.
+    ///
+    /// Round one starts from `x·y < m²` and adds `mu·m < 2^64·m`, which
+    /// can pass `2^128`, so its carry is kept; the quotient is then
+    /// below `2m`. From there each round stays below `2^128` and leaves
+    /// `t ≤ m + 1`, so one conditional subtraction finishes.
+    #[inline(always)]
+    fn mont_mul_one_limb(&self, x: Limb, y: Limb) -> Limb {
+        let m = self.m.as_limbs()[0] as u128;
+        let t = x as u128 * y as u128;
+        let mu = (t as Limb).wrapping_mul(self.m_prime);
+        let (sum, carry) = t.overflowing_add(mu as u128 * m);
+        let mut t = (sum >> Limb::BITS) | ((carry as u128) << Limb::BITS);
+        for _ in 1..N {
+            let mu = (t as Limb).wrapping_mul(self.m_prime);
+            t = (t + mu as u128 * m) >> Limb::BITS;
+        }
+        if t >= m {
+            t -= m;
+        }
+        t as Limb
+    }
+
     /// The Montgomery square `x²·R⁻¹ mod m`.
     pub fn mont_sqr(&self, x: &U256) -> U256 {
         self.mont_mul(x, x)
@@ -223,6 +268,15 @@ impl Montgomery {
         let reduce = |v: &U256| if v < &self.m { *v } else { v.rem(&self.m) };
         let xr = [reduce(&x[0]), reduce(&x[1]), reduce(&x[2]), reduce(&x[3])];
         let yr = [reduce(&y[0]), reduce(&y[1]), reduce(&y[2]), reduce(&y[3])];
+        if self.reducer == Reducer::OneLimb {
+            // Four independent one-limb chains; nothing to interleave
+            // by hand at this width.
+            return core::array::from_fn(|lane| {
+                U256::from_u64(
+                    self.mont_mul_one_limb(xr[lane].as_limbs()[0], yr[lane].as_limbs()[0]),
+                )
+            });
+        }
         crate::lanes::mont_mul_x4(self, &xr, &yr)
     }
 

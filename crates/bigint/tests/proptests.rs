@@ -313,3 +313,53 @@ proptest! {
         }
     }
 }
+
+/// `2^-256 mod m`, the Montgomery radix inverse, by the schoolbook
+/// inverse of `2^256 mod m` — independent of the Montgomery code.
+fn radix_inverse(m: &U256) -> U256 {
+    let r = U256::MAX.rem(m).wrapping_add(&U256::ONE).rem(m);
+    modular::mod_inv(&r, m).expect("m is odd")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One-limb moduli take the `OneLimb` reducer, and its products equal
+    /// the schoolbook ones. Every case checks one modulus with the top
+    /// bit set (so the first REDC round's `u128` carry can fire) and one
+    /// shifted below it, so at least half of the moduli are `≥ 2^63`.
+    #[test]
+    fn one_limb_reducer_equals_schoolbook(
+        raw in any::<u64>(),
+        shift in 1u32..62,
+        x in proptest::array::uniform4(any::<u64>()),
+        y in proptest::array::uniform4(any::<u64>()),
+        exp in u256(),
+    ) {
+        use cryptonn_bigint::{Montgomery, Reducer};
+        for m in [raw | (1 << 63) | 1, (raw >> shift) | 3] {
+            let m = U256::from_u64(m);
+            let ctx = Montgomery::new(&m).unwrap();
+            prop_assert_eq!(ctx.reducer(), Reducer::OneLimb, "modulus {}", m);
+            let r_inv = radix_inverse(&m);
+            let xr: [U256; 4] = core::array::from_fn(|l| U256::from_u64(x[l]).rem(&m));
+            let yr: [U256; 4] = core::array::from_fn(|l| U256::from_u64(y[l]).rem(&m));
+            let lanes = ctx.mont_mul_lanes(&xr, &yr);
+            for lane in 0..4 {
+                let expect = modular::mod_mul(&modular::mod_mul(&xr[lane], &yr[lane], &m), &r_inv, &m);
+                prop_assert_eq!(ctx.mont_mul(&xr[lane], &yr[lane]), expect, "modulus {}", m);
+                prop_assert_eq!(lanes[lane], expect, "modulus {} lane {}", m, lane);
+                prop_assert_eq!(
+                    ctx.mod_mul(&xr[lane], &yr[lane]),
+                    modular::mod_mul(&xr[lane], &yr[lane], &m),
+                    "modulus {}", m
+                );
+            }
+            prop_assert_eq!(
+                ctx.pow(&xr[0], &exp),
+                modular::mod_pow_schoolbook(&xr[0], &exp, &m),
+                "modulus {}", m
+            );
+        }
+    }
+}

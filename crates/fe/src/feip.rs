@@ -31,7 +31,7 @@ use crate::error::FeError;
 /// is rebuilt rather than shipped; DESIGN.md §8). Tables are built
 /// lazily on the first [`encrypt`], so decrypt-/combine-only consumers
 /// of a deserialized key (which never exponentiate the `hᵢ`) pay
-/// neither the ~30 KiB per coordinate nor the build cost. Clones share
+/// neither the ~30 KiB per coordinate (at 256 bits) nor the build cost. Clones share
 /// the tables via `Arc`.
 #[derive(Clone)]
 pub struct FeipPublicKey {
@@ -560,8 +560,10 @@ pub fn decrypt_naive(
 }
 
 /// How many reuses of one fixed base justify building a comb table for
-/// it: the build costs ~960 Montgomery products, a direct 256-bit `pow`
-/// ~320, a table-backed one ≤ 64.
+/// it. A comb has `w = ⌈bits(q)/4⌉` windows: the build costs `15·w`
+/// Montgomery products, a table-backed `pow` ≤ `w`, and a direct `pow`
+/// about `5·w + 15` (at 256 bits: 960, 64 and ~335; at `Bits64`: 240,
+/// 16 and ~95). Four reuses pay for the build at every level.
 const FIXED_BASE_THRESHOLD: usize = 4;
 
 /// Batched cross-product decryption: recovers

@@ -8,7 +8,7 @@
 //! ## File format
 //!
 //! ```text
-//! magic    8 B   "CNNTBL03" (bumped on any layout change)
+//! magic    8 B   "CNNTBL04" (bumped on any layout change)
 //! kind     1 B   1 = generator comb, 2 = dlog table
 //! fprint  96 B   p ‖ q ‖ g, each 32 B big-endian
 //! payload  …     kind-specific (see below)
@@ -25,9 +25,9 @@
 //! through a temp file + rename so a crash mid-write can never leave a
 //! truncated file that parses.
 //!
-//! Comb payload: `FixedBaseTable::ENTRIES` × 32 B big-endian Montgomery
-//! residues, row-major (base and modulus are implied by the
-//! fingerprint). Dlog payload: `m`, `bound`, `up_mont`, `giant_mont`,
+//! Comb payload: `⌈bits(q)/4⌉ × 15` × 32 B big-endian Montgomery
+//! residues, row-major (base, modulus and window count are implied by
+//! the fingerprint). Dlog payload: `m`, `bound`, `up_mont`, `giant_mont`,
 //! then the baby map in packed form — slot capacity, length-prefixed
 //! occupancy bitmap, length-prefixed occupied `(key, index)` pairs in
 //! slot order — and the length-prefixed collision side list.
@@ -55,7 +55,7 @@ use crate::dlog::{DlogTable, PackedSlots};
 use crate::fixed_base::FixedBaseTable;
 use crate::group::SchnorrGroup;
 
-const MAGIC: [u8; 8] = *b"CNNTBL03";
+const MAGIC: [u8; 8] = *b"CNNTBL04";
 const FPRINT_LEN: usize = 96;
 const HEADER_LEN: usize = MAGIC.len() + 1 + FPRINT_LEN;
 
@@ -252,14 +252,14 @@ pub(crate) fn load_comb(dir: &Path, p: &U256, q: &U256, g: &U256) -> Option<Fixe
     let fp = fingerprint(p, q, g);
     let frame = read_verified(&comb_path(dir, &fp), Kind::Comb, &fp)?;
     let payload = payload(&frame);
-    if payload.len() != FixedBaseTable::ENTRIES * 32 {
+    if payload.len() != FixedBaseTable::cached_len(q.bit_len()) * 32 {
         return None;
     }
     let flat: Vec<U256> = payload
         .chunks_exact(32)
         .map(|c| U256::from_be_bytes(c.try_into().expect("exact chunk")))
         .collect();
-    FixedBaseTable::from_cached_entries(*g, *p, &flat)
+    FixedBaseTable::from_cached_entries(*g, *p, q.bit_len(), &flat)
 }
 
 /// Persists a group's generator comb (best-effort; IO errors surface to
@@ -267,7 +267,7 @@ pub(crate) fn load_comb(dir: &Path, p: &U256, q: &U256, g: &U256) -> Option<Fixe
 /// the next start is cold again).
 pub(crate) fn store_comb(dir: &Path, group: &SchnorrGroup) -> io::Result<()> {
     let fp = fingerprint(group.modulus(), group.order(), group.generator().value());
-    let mut payload = Vec::with_capacity(FixedBaseTable::ENTRIES * 32);
+    let mut payload = Vec::with_capacity(FixedBaseTable::cached_len(group.order().bit_len()) * 32);
     for entry in group.generator_table().entries_flat() {
         payload.extend_from_slice(&entry.to_be_bytes());
     }
@@ -381,6 +381,41 @@ mod tests {
         // The warm table actually computes: g^e must match.
         let e = group.scalar_from_u64(123_456_789);
         assert_eq!(group.exp_table(&table, &e), group.exp(&e));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_comb_files_are_rebuilt_and_rewritten() {
+        let dir = scratch_dir("comb-stale");
+        let group = SchnorrGroup::precomputed(SecurityLevel::Bits64);
+        let (p, q, g) = (group.modulus(), group.order(), *group.generator().value());
+        let fp = fingerprint(p, q, &g);
+        // A checksummed comb frame under `magic` carrying `payload`.
+        let frame = |magic: &[u8; 8], payload: &[u8]| {
+            let mut buf = magic.to_vec();
+            buf.push(Kind::Comb as u8);
+            buf.extend_from_slice(&fp);
+            buf.extend_from_slice(payload);
+            let check = fnv1a(&buf);
+            buf.extend_from_slice(&check.to_le_bytes());
+            buf
+        };
+        let table = group.generator_table();
+        let current: Vec<u8> = table.entries_flat().flat_map(|e| e.to_be_bytes()).collect();
+        let entry = table.entries_flat().next().unwrap();
+        let wide: Vec<u8> = (0..64 * 15).flat_map(|_| entry.to_be_bytes()).collect();
+
+        // The pre-sizing geometry (64 windows for a 63-bit q) under the
+        // current magic, and the current geometry under the old magic.
+        for stale in [frame(&MAGIC, &wide), frame(b"CNNTBL03", &current)] {
+            fs::write(comb_path(&dir, &fp), &stale).unwrap();
+            assert!(load_comb(&dir, p, q, &g).is_none());
+            let rebuilt = SchnorrGroup::precomputed_cached(SecurityLevel::Bits64, &dir);
+            let e = group.scalar_from_u64(987_654_321);
+            assert_eq!(rebuilt.exp(&e), group.exp(&e));
+            let healed = load_comb(&dir, p, q, &g).expect("rewritten cache");
+            assert_eq!(group.exp_table(&healed, &e), group.exp(&e));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

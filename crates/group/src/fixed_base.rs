@@ -6,9 +6,16 @@
 //! per `Encrypt`). A [`FixedBaseTable`] trades one-time precomputation
 //! for a ~5× cheaper exponentiation: it stores
 //! `base^(d · 16^i)` for every window index `i` and digit `d ∈ [1, 16)`
-//! in Montgomery form, so `base^e` becomes at most 64 Montgomery
-//! products — no squarings, no conversions until the very end
-//! (DESIGN.md §8).
+//! in Montgomery form, so `base^e` becomes at most one Montgomery
+//! product per window — no squarings, no conversions until the very
+//! end (DESIGN.md §8).
+//!
+//! A comb is sized to the exponents it serves: the group builds every
+//! table with `⌈bits(q)/4⌉` windows, since scalars live in `Z_q`. That
+//! is 64 windows (960 build products) for a 256-bit group and 16 (240)
+//! for `Bits64`. An exponent wider than its comb (a scalar decoded off
+//! the wire without reduction mod `q`) takes a cold branch through
+//! [`Montgomery::pow`] on the table's base, so it is never truncated.
 //!
 //! Tables are bound to the group's modulus; build them through
 //! [`SchnorrGroup::fixed_base_table`](crate::SchnorrGroup::fixed_base_table)
@@ -19,13 +26,17 @@
 use cryptonn_bigint::lanes::LANES;
 use cryptonn_bigint::{Montgomery, U256};
 
-/// Window width in bits. 4 balances table size (64 × 15 × 32 B = 30 KiB
-/// per base) against the per-exponentiation product count (≤ 64).
+/// Window width in bits. 4 balances table size (15 × 32 B = 480 B per
+/// window: 30 KiB for a 256-bit exponent) against the product count
+/// per exponentiation (one per window).
 const WINDOW_BITS: usize = 4;
-/// Number of radix-2⁴ windows covering a 256-bit exponent.
-const WINDOWS: usize = U256::BITS.div_ceil(WINDOW_BITS);
 /// Non-zero digits per window.
 const DIGITS: usize = (1 << WINDOW_BITS) - 1;
+
+/// Number of radix-2⁴ windows covering an `exp_bits`-bit exponent.
+fn windows(exp_bits: usize) -> usize {
+    exp_bits.div_ceil(WINDOW_BITS)
+}
 
 /// A precomputed radix-2⁴ comb table for one base in one group.
 ///
@@ -43,19 +54,20 @@ pub struct FixedBaseTable {
 }
 
 impl FixedBaseTable {
-    /// Precomputes the comb for `base` under `ctx`. Costs
-    /// `WINDOWS × DIGITS` Montgomery products — amortized after roughly
-    /// four exponentiations.
-    pub(crate) fn build(ctx: &Montgomery, base: &U256) -> Self {
+    /// Precomputes the comb for `base` under `ctx`, covering exponents
+    /// of up to `exp_bits` bits. Costs `⌈exp_bits/4⌉ × 15` Montgomery
+    /// products — amortized after roughly four exponentiations.
+    pub(crate) fn build(ctx: &Montgomery, base: &U256, exp_bits: usize) -> Self {
         let base = if base < ctx.modulus() {
             *base
         } else {
             base.rem(ctx.modulus())
         };
-        let mut rows = Vec::with_capacity(WINDOWS);
+        let windows = windows(exp_bits);
+        let mut rows = Vec::with_capacity(windows);
         // cur = base^(16^i) in Montgomery form.
         let mut cur = ctx.to_mont(&base);
-        for _ in 0..WINDOWS {
+        for _ in 0..windows {
             let mut row = [ctx.one(); DIGITS];
             row[0] = cur;
             for d in 1..DIGITS {
@@ -82,6 +94,19 @@ impl FixedBaseTable {
         &self.modulus
     }
 
+    /// The widest exponent, in bits, the comb rows cover.
+    fn covered_bits(&self) -> usize {
+        self.rows.len() * WINDOW_BITS
+    }
+
+    /// `base^e` in Montgomery form for an exponent wider than the comb,
+    /// by plain windowed exponentiation. Only an unreduced scalar off
+    /// the wire gets here; everything the group produces is `< q`.
+    #[cold]
+    fn pow_wide_mont(&self, ctx: &Montgomery, e: &U256) -> U256 {
+        ctx.to_mont(&ctx.pow(&self.base, e))
+    }
+
     /// Multiplies `acc` (Montgomery form) by `base^e`, staying in the
     /// Montgomery domain. This is the composable core: chaining calls
     /// over several tables evaluates a multi-exponentiation
@@ -98,7 +123,10 @@ impl FixedBaseTable {
             "fixed-base table used with a foreign group"
         );
         let bits = e.bit_len();
-        let windows = bits.div_ceil(WINDOW_BITS).min(WINDOWS);
+        if bits > self.covered_bits() {
+            return ctx.mont_mul(&acc, &self.pow_wide_mont(ctx, e));
+        }
+        let windows = bits.div_ceil(WINDOW_BITS);
         for (w, row) in self.rows.iter().enumerate().take(windows) {
             let mut digit = 0usize;
             for b in 0..WINDOW_BITS {
@@ -143,8 +171,10 @@ impl FixedBaseTable {
             );
         }
         let bits = e.bit_len();
-        let windows = bits.div_ceil(WINDOW_BITS).min(WINDOWS);
-        for w in 0..windows {
+        if tables.iter().any(|t| bits > t.covered_bits()) {
+            return core::array::from_fn(|lane| tables[lane].mul_pow_mont(ctx, acc[lane], e));
+        }
+        for w in 0..bits.div_ceil(WINDOW_BITS) {
             let mut digit = 0usize;
             for b in 0..WINDOW_BITS {
                 let idx = w * WINDOW_BITS + b;
@@ -178,7 +208,10 @@ impl FixedBaseTable {
             "fixed-base table used with a foreign group"
         );
         let bits = es.iter().map(|e| e.bit_len()).max().unwrap_or(0);
-        let windows = bits.div_ceil(WINDOW_BITS).min(WINDOWS);
+        if bits > self.covered_bits() {
+            return core::array::from_fn(|lane| self.pow(ctx, es[lane]));
+        }
+        let windows = bits.div_ceil(WINDOW_BITS);
         let mut acc = [ctx.one(); LANES];
         for (w, row) in self.rows.iter().enumerate().take(windows) {
             let mut any = false;
@@ -206,19 +239,28 @@ impl FixedBaseTable {
 
     // ---- cache (de)serialization hooks -------------------------------
 
-    /// Total Montgomery-form entries in a full comb.
-    pub(crate) const ENTRIES: usize = WINDOWS * DIGITS;
+    /// Montgomery-form entries in a comb covering `exp_bits`-bit
+    /// exponents: the cache payload geometry.
+    pub(crate) fn cached_len(exp_bits: usize) -> usize {
+        windows(exp_bits) * DIGITS
+    }
 
     /// The comb entries flattened row-major, for the on-disk cache.
     pub(crate) fn entries_flat(&self) -> impl Iterator<Item = &U256> {
         self.rows.iter().flat_map(|row| row.iter())
     }
 
-    /// Rebuilds a table from cached entries. Returns `None` if the
-    /// entry count is wrong for the comb geometry — the cache layer
-    /// treats that as corruption and falls back to a fresh build.
-    pub(crate) fn from_cached_entries(base: U256, modulus: U256, flat: &[U256]) -> Option<Self> {
-        if flat.len() != Self::ENTRIES {
+    /// Rebuilds a table covering `exp_bits`-bit exponents from cached
+    /// entries. Returns `None` if the entry count is wrong for that
+    /// geometry — the cache layer treats that as corruption and falls
+    /// back to a fresh build.
+    pub(crate) fn from_cached_entries(
+        base: U256,
+        modulus: U256,
+        exp_bits: usize,
+        flat: &[U256],
+    ) -> Option<Self> {
+        if flat.len() != Self::cached_len(exp_bits) {
             return None;
         }
         let rows = flat
@@ -245,7 +287,8 @@ impl core::fmt::Debug for FixedBaseTable {
 
 impl PartialEq for FixedBaseTable {
     fn eq(&self, other: &Self) -> bool {
-        // Tables are fully determined by (base, modulus).
+        // A table computes `base^e mod modulus`; its window count only
+        // decides which exponents take the cold wide branch.
         self.base == other.base && self.modulus == other.modulus
     }
 }
@@ -268,7 +311,7 @@ mod tests {
         let p = p25519();
         let ctx = Montgomery::new(&p).unwrap();
         let base = U256::from_u64(4);
-        let table = FixedBaseTable::build(&ctx, &base);
+        let table = FixedBaseTable::build(&ctx, &base, U256::BITS);
         let mut rng = StdRng::seed_from_u64(200);
         for _ in 0..32 {
             let e = U256::random(&mut rng);
@@ -293,8 +336,8 @@ mod tests {
         let ctx = Montgomery::new(&p).unwrap();
         let (b1, b2) = (U256::from_u64(4), U256::from_u64(9));
         let (t1, t2) = (
-            FixedBaseTable::build(&ctx, &b1),
-            FixedBaseTable::build(&ctx, &b2),
+            FixedBaseTable::build(&ctx, &b1, U256::BITS),
+            FixedBaseTable::build(&ctx, &b2, U256::BITS),
         );
         let (e1, e2) = (U256::from_u64(12345), U256::from_u64(67890));
         let acc = t1.mul_pow_mont(&ctx, ctx.one(), &e1);
@@ -316,7 +359,7 @@ mod tests {
         let bases: [U256; LANES] = core::array::from_fn(|i| U256::from_u64(3 + 2 * i as u64));
         let tables: Vec<FixedBaseTable> = bases
             .iter()
-            .map(|b| FixedBaseTable::build(&ctx, b))
+            .map(|b| FixedBaseTable::build(&ctx, b, U256::BITS))
             .collect();
         let refs: [&FixedBaseTable; LANES] = core::array::from_fn(|i| &tables[i]);
 
@@ -347,13 +390,19 @@ mod tests {
     fn cached_entries_roundtrip() {
         let p = p25519();
         let ctx = Montgomery::new(&p).unwrap();
-        let table = FixedBaseTable::build(&ctx, &U256::from_u64(4));
+        let table = FixedBaseTable::build(&ctx, &U256::from_u64(4), 255);
         let flat: Vec<U256> = table.entries_flat().copied().collect();
-        assert_eq!(flat.len(), FixedBaseTable::ENTRIES);
-        let back = FixedBaseTable::from_cached_entries(table.base, table.modulus, &flat).unwrap();
+        assert_eq!(flat.len(), FixedBaseTable::cached_len(255));
+        let back =
+            FixedBaseTable::from_cached_entries(table.base, table.modulus, 255, &flat).unwrap();
         assert_eq!(back.rows, table.rows);
         assert!(
-            FixedBaseTable::from_cached_entries(table.base, table.modulus, &flat[1..]).is_none()
+            FixedBaseTable::from_cached_entries(table.base, table.modulus, 255, &flat[1..])
+                .is_none()
+        );
+        // Entries for another exponent width are another geometry.
+        assert!(
+            FixedBaseTable::from_cached_entries(table.base, table.modulus, 63, &flat).is_none()
         );
     }
 
@@ -361,7 +410,7 @@ mod tests {
     fn unreduced_base_is_reduced() {
         let p = U256::from_u64(97);
         let ctx = Montgomery::new(&p).unwrap();
-        let table = FixedBaseTable::build(&ctx, &U256::from_u64(97 + 5));
+        let table = FixedBaseTable::build(&ctx, &U256::from_u64(97 + 5), 7);
         assert_eq!(*table.base(), U256::from_u64(5));
         assert_eq!(table.pow(&ctx, &U256::from_u64(2)), U256::from_u64(25));
     }

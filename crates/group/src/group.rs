@@ -162,10 +162,12 @@ pub enum SecurityLevel {
     /// 256-bit Montgomery-friendly parameters: a safe prime with
     /// `p ≡ -1 (mod 2^64)` (and `q ≡ -1 (mod 2^64)` as well), so both
     /// modulus fields take the `Reducer::FastP64` reduction that drops
-    /// one multiply per CIOS round (DESIGN.md §13.2). Same security
-    /// margin as [`SecurityLevel::Bits256`]: a uniformly sampled
-    /// 256-bit safe prime with 64 low bits pinned, leaving ~2^191
-    /// candidate moduli — far beyond the generic-group attack bound.
+    /// one multiply per CIOS round (DESIGN.md §13.2). Same margin as
+    /// [`SecurityLevel::Bits256`], which is to say none against a
+    /// discrete-log computation: no level here resists one. A 256-bit
+    /// prime field is far below the 795-bit NFS record (Boudot et al.,
+    /// CRYPTO 2020), so whoever can run NFS on `p` recovers secret
+    /// exponents from public keys (DESIGN.md §3.2).
     Bits256Fast,
 }
 
@@ -317,7 +319,7 @@ impl SchnorrGroup {
     fn from_checked_parts_with(p: U256, q: U256, g: U256, table: Option<FixedBaseTable>) -> Self {
         let mont_p = Montgomery::new(&p).expect("p is an odd prime");
         let mont_q = Montgomery::new(&q).expect("q is an odd prime");
-        let g_table = table.unwrap_or_else(|| FixedBaseTable::build(&mont_p, &g));
+        let g_table = table.unwrap_or_else(|| FixedBaseTable::build(&mont_p, &g, q.bit_len()));
         Self {
             p,
             q,
@@ -428,7 +430,7 @@ impl SchnorrGroup {
     // ---- group (Z_p^*) arithmetic ------------------------------------
 
     /// `g^e` for the group generator, via the cached fixed-base comb
-    /// table (≤ 64 Montgomery products, no squarings).
+    /// table (≤ `⌈bits(q)/4⌉` Montgomery products, no squarings).
     pub fn exp(&self, e: &Scalar) -> Element {
         Element(self.ctx.g_table.pow(&self.ctx.mont_p, &e.0))
     }
@@ -494,13 +496,14 @@ impl SchnorrGroup {
 
     // ---- fixed-base exponentiation -----------------------------------
 
-    /// Precomputes a radix-2⁴ comb table for `base`, making every
-    /// subsequent [`exp_table`](Self::exp_table) against that base cost
-    /// at most 64 Montgomery products. The build amortizes after about
-    /// four exponentiations; key material with long-lived bases (the
-    /// FEIP `hᵢ`) builds tables at setup/deserialization time.
+    /// Precomputes a radix-2⁴ comb table for `base` with `⌈bits(q)/4⌉`
+    /// windows, making every subsequent [`exp_table`](Self::exp_table)
+    /// against that base cost at most one Montgomery product per
+    /// window. The build amortizes after about four exponentiations;
+    /// key material with long-lived bases (the FEIP `hᵢ`) builds tables
+    /// at setup/deserialization time.
     pub fn fixed_base_table(&self, base: &Element) -> FixedBaseTable {
-        FixedBaseTable::build(&self.ctx.mont_p, &base.0)
+        FixedBaseTable::build(&self.ctx.mont_p, &base.0, self.q.bit_len())
     }
 
     /// The cached comb table for the generator `g` — the same table
@@ -647,6 +650,10 @@ mod tests {
         let generic = SchnorrGroup::precomputed(SecurityLevel::Bits256);
         assert_eq!(generic.ctx.mont_p.reducer(), Reducer::Generic);
         assert_eq!(generic.ctx.mont_q.reducer(), Reducer::Generic);
+        // One-limb moduli skip the 4-limb CIOS on both fields.
+        let small = SchnorrGroup::precomputed(SecurityLevel::Bits64);
+        assert_eq!(small.ctx.mont_p.reducer(), Reducer::OneLimb);
+        assert_eq!(small.ctx.mont_q.reducer(), Reducer::OneLimb);
         // Same bit budget, same generator convention.
         assert_eq!(fast.modulus().bit_len(), 256);
         assert_eq!(fast.generator(), generic.generator());
@@ -745,6 +752,57 @@ mod tests {
             for lane in 0..LANES {
                 assert_eq!(got[lane], g.exp_table(refs[0], &es[lane]), "lane {lane}");
             }
+        }
+    }
+
+    #[test]
+    fn exponents_wider_than_the_comb_stay_exact() {
+        use cryptonn_bigint::lanes::LANES;
+        use cryptonn_bigint::modular;
+        let g = group();
+        let (p, q) = (*g.modulus(), *g.order());
+        let mut rng = StdRng::seed_from_u64(10);
+        let bases: Vec<Element> = (0..LANES)
+            .map(|_| g.exp(&g.random_scalar(&mut rng)))
+            .collect();
+        let tables: Vec<FixedBaseTable> = bases.iter().map(|b| g.fixed_base_table(b)).collect();
+        let refs: [&FixedBaseTable; LANES] = core::array::from_fn(|i| &tables[i]);
+        // The comb covers ⌈bits(q)/4⌉ windows, not 256 bits.
+        assert_eq!(
+            tables[0].entries_flat().count(),
+            q.bit_len().div_ceil(4) * 15
+        );
+
+        // A scalar decoded off the wire is not reduced mod q.
+        let bytes = cryptonn_wire::to_vec(&U256::MAX.wrapping_sub(&U256::ONE)).unwrap();
+        let decoded: Scalar = cryptonn_wire::from_slice(&bytes).unwrap();
+        assert!(decoded.value() >= &q);
+        let wide = [
+            Scalar(q.wrapping_add(&U256::from_u64(5))),
+            Scalar(U256::MAX),
+            decoded,
+        ];
+        let expect = |b: &Element, e: &Scalar| Element(modular::mod_pow(&b.0, &e.0, &p));
+        for e in &wide {
+            for lane in 0..LANES {
+                assert_eq!(g.exp_table(refs[lane], e), expect(&bases[lane], e), "{e:?}");
+            }
+            assert_eq!(g.exp(e), expect(&g.generator(), e), "{e:?}");
+            let got = g.exp_tables_lanes(refs, e);
+            for lane in 0..LANES {
+                assert_eq!(got[lane], expect(&bases[lane], e), "lanes {e:?}");
+            }
+            assert_eq!(g.multi_pow(&[(refs[0], e)]), expect(&bases[0], e));
+        }
+        // One wide exponent among narrow ones.
+        let mixed = [wide[0], g.scalar_from_u64(7), wide[1], wide[2]];
+        let got = g.exp_table_many(refs[0], core::array::from_fn(|i| &mixed[i]));
+        for lane in 0..LANES {
+            assert_eq!(
+                got[lane],
+                expect(&bases[0], &mixed[lane]),
+                "many lane {lane}"
+            );
         }
     }
 

@@ -82,8 +82,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The `Reducer` seam is transparent at every security level: group
-    /// arithmetic over the embedded parameters (FastP64 for
-    /// `Bits256Fast`, Generic elsewhere) equals schoolbook
+    /// arithmetic over the embedded parameters (OneLimb for `Bits32`
+    /// and `Bits64`, FastP64 for `Bits256Fast`, Generic elsewhere)
+    /// equals schoolbook
     /// multiply-then-divide in both the element and scalar fields.
     #[test]
     fn reducer_matches_schoolbook_at_every_level(

@@ -39,7 +39,7 @@
 //!   requests are identical — a key derived by any shard is a hit for
 //!   all, and the steady state is authority-free fleet-wide.
 //! - **One persisted table cache** — all replicas attach the same
-//!   on-disk BSGS table directory (`CNNTBL03`); the fingerprinted
+//!   on-disk BSGS table directory (`CNNTBL04`); the fingerprinted
 //!   tmp+rename protocol makes concurrent shard access safe, and a
 //!   table built by one shard warm-starts the rest.
 //!
