@@ -29,14 +29,14 @@ pub fn sweep<T: Copy>(default: &[T], full: &[T]) -> Vec<T> {
     }
 }
 
-/// The group security level for benches: 128-bit by default (the same
-/// algorithms as the paper's 256-bit runs, faster limbs), 256-bit under
-/// `CRYPTONN_BENCH_FULL`.
+/// The group security level for benches: 64-bit by default (the same
+/// algorithms as the paper's 256-bit runs, one-limb arithmetic), the
+/// paper's 256 bits under `CRYPTONN_BENCH_FULL`.
 pub fn bench_level() -> SecurityLevel {
     if full_scale() {
-        SecurityLevel::Bits256
+        SecurityLevel::Bits256Fast
     } else {
-        SecurityLevel::Bits128
+        SecurityLevel::Bits64
     }
 }
 

@@ -47,7 +47,7 @@ pub enum Reducer {
     /// multiply gone). Two of the nine 64×64 multiplies in every CIOS
     /// round disappear.
     FastP64,
-    /// One-limb modulus `m < 2^64` (the `Bits32`/`Bits64` groups): the
+    /// One-limb modulus `m < 2^64` (the `Bits64` group): the
     /// three upper limbs of every operand are zero, so the product is
     /// one `u128` multiply followed by four single-limb REDC rounds
     /// (`R` stays `2^256`). Only the first round can carry past 128

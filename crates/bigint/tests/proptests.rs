@@ -175,30 +175,32 @@ fn random_primes_are_odd_and_sized() {
     assert_eq!(p.bit_len(), 80);
 }
 
-/// The `(p, q)` safe-prime pairs embedded in `cryptonn-group` for each
-/// `SecurityLevel` (duplicated here because a dev-dependency on the
-/// group crate would be cyclic). The Montgomery/schoolbook equivalence
-/// below must hold at exactly these production moduli.
-const LEVEL_PARAMS: &[(&str, &str, &str)] = &[
-    ("Bits32", "85a1545f", "42d0aa2f"),
+/// Safe-prime `(p, q)` test moduli. `Bits64` and `Bits256Fast` are the
+/// pairs `cryptonn-group` embeds for its two `SecurityLevel`s
+/// (duplicated here because a dev-dependency on the group crate would
+/// be cyclic); the other five are plain safe primes at other widths, so
+/// the one-limb, generic multi-limb and fast-reduction Montgomery arms
+/// are all checked against schoolbook arithmetic.
+const SAFE_PRIME_MODULI: &[(&str, &str, &str)] = &[
+    ("32-bit", "85a1545f", "42d0aa2f"),
     ("Bits64", "e1946b58700bae4f", "70ca35ac3805d727"),
     (
-        "Bits128",
+        "128-bit",
         "e8a60f34154b07019e29019fd53661e7",
         "7453079a0aa58380cf1480cfea9b30f3",
     ),
     (
-        "Bits192",
+        "192-bit",
         "cae643bc62df98dce86d1a300a4f8dc41916bd5ee88ba403",
         "657321de316fcc6e74368d180527c6e20c8b5eaf7445d201",
     ),
     (
-        "Bits224",
+        "224-bit",
         "f1fcd972befe655dea418894ba5e896515c2f7f09dee7ecd12512353",
         "78fe6cb95f7f32aef520c44a5d2f44b28ae17bf84ef73f66892891a9",
     ),
     (
-        "Bits256",
+        "256-bit generic",
         "a504130456d8cce0af73fd190c683b02148b6371a703ba4bac786a772db736af",
         "528209822b6c667057b9fe8c86341d810a45b1b8d381dd25d63c353b96db9b57",
     ),
@@ -215,11 +217,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Montgomery `mod_mul` is bit-identical to the schoolbook
-    /// (widening-multiply + Knuth-division) product at every embedded
-    /// security level's `p` and `q`.
+    /// (widening-multiply + Knuth-division) product at every test
+    /// modulus's `p` and `q`.
     #[test]
     fn montgomery_mod_mul_equals_schoolbook_at_all_levels(a in u256(), b in u256()) {
-        for (level, p_hex, q_hex) in LEVEL_PARAMS {
+        for (label, p_hex, q_hex) in SAFE_PRIME_MODULI {
             for m_hex in [p_hex, q_hex] {
                 let m = U256::from_hex(m_hex).unwrap();
                 let ctx = cryptonn_bigint::Montgomery::new(&m).unwrap();
@@ -227,23 +229,23 @@ proptest! {
                 prop_assert_eq!(
                     ctx.mod_mul(&ar, &br),
                     modular::mod_mul(&ar, &br, &m),
-                    "level {} modulus {}", level, m
+                    "{} modulus {}", label, m
                 );
             }
         }
     }
 
     /// `mod_pow` (Montgomery path) is bit-identical to
-    /// `mod_pow_schoolbook` at every embedded security level.
+    /// `mod_pow_schoolbook` at every test modulus.
     #[test]
     fn montgomery_mod_pow_equals_schoolbook_at_all_levels(base in u256(), exp in u256()) {
-        for (level, p_hex, q_hex) in LEVEL_PARAMS {
+        for (label, p_hex, q_hex) in SAFE_PRIME_MODULI {
             for m_hex in [p_hex, q_hex] {
                 let m = U256::from_hex(m_hex).unwrap();
                 prop_assert_eq!(
                     modular::mod_pow(&base, &exp, &m),
                     modular::mod_pow_schoolbook(&base, &exp, &m),
-                    "level {} modulus {}", level, m
+                    "{} modulus {}", label, m
                 );
             }
         }
@@ -271,25 +273,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Montgomery-trick batch inversion equals element-wise `mod_inv`
-    /// at every embedded security level's `p` and `q`.
+    /// at every test modulus's `p` and `q`.
     #[test]
     fn batch_inversion_equals_individual_at_all_levels(
         values in proptest::collection::vec(u256(), 1..12),
     ) {
-        for (level, p_hex, q_hex) in LEVEL_PARAMS {
+        for (label, p_hex, q_hex) in SAFE_PRIME_MODULI {
             for m_hex in [p_hex, q_hex] {
                 let m = U256::from_hex(m_hex).unwrap();
                 let reduced: Vec<U256> = values.iter().map(|v| v.rem(&m)).collect();
                 let batch = modular::batch_mod_inv(&reduced, &m);
                 let individual: Option<Vec<U256>> =
                     reduced.iter().map(|v| modular::mod_inv(v, &m)).collect();
-                prop_assert_eq!(batch, individual, "level {} modulus {}", level, m);
+                prop_assert_eq!(batch, individual, "{} modulus {}", label, m);
             }
         }
     }
 
     /// The lane-batched kernel equals four independent `mont_mul`s on
-    /// unreduced (wire-range) operands, at every embedded level's `p`
+    /// unreduced (wire-range) operands, at every test modulus's `p`
     /// and `q` — generic and fast-reduction moduli alike, whatever
     /// kernel the host dispatched.
     #[test]
@@ -298,7 +300,7 @@ proptest! {
         y in proptest::array::uniform4(u256()),
     ) {
         use cryptonn_bigint::Montgomery;
-        for (level, p_hex, q_hex) in LEVEL_PARAMS {
+        for (label, p_hex, q_hex) in SAFE_PRIME_MODULI {
             for m_hex in [p_hex, q_hex] {
                 let m = U256::from_hex(m_hex).unwrap();
                 let ctx = Montgomery::new(&m).unwrap();
@@ -307,7 +309,7 @@ proptest! {
                     // mont_mul reduces wire-range operands on entry,
                     // exactly as the lane entry point documents.
                     let expect = ctx.mont_mul(&x[lane].rem(&m), &y[lane].rem(&m));
-                    prop_assert_eq!(got[lane], expect, "level {} modulus {} lane {}", level, m, lane);
+                    prop_assert_eq!(got[lane], expect, "{} modulus {} lane {}", label, m, lane);
                 }
             }
         }

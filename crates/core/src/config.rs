@@ -24,7 +24,7 @@ impl CryptoNnConfig {
     /// The paper's setting: 256-bit group, two-decimal quantization.
     pub fn paper() -> Self {
         Self {
-            level: SecurityLevel::Bits256,
+            level: SecurityLevel::Bits256Fast,
             fp: FixedPoint::TWO_DECIMALS,
             grad_fp: FixedPoint::new(10_000),
             parallelism: Parallelism::available(),
@@ -55,7 +55,7 @@ mod tests {
 
     #[test]
     fn presets() {
-        assert_eq!(CryptoNnConfig::paper().level, SecurityLevel::Bits256);
+        assert_eq!(CryptoNnConfig::paper().level, SecurityLevel::Bits256Fast);
         assert_eq!(CryptoNnConfig::fast().level, SecurityLevel::Bits64);
         assert_eq!(CryptoNnConfig::default(), CryptoNnConfig::fast());
         assert_eq!(CryptoNnConfig::fast().fp.scale(), 100);

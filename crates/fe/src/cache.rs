@@ -287,11 +287,7 @@ mod tests {
     /// every security level.
     #[test]
     fn hits_are_bit_identical_to_uncached_at_every_level() {
-        for level in [
-            SecurityLevel::Bits64,
-            SecurityLevel::Bits128,
-            SecurityLevel::Bits256,
-        ] {
+        for level in [SecurityLevel::Bits64, SecurityLevel::Bits256Fast] {
             let plain = authority(level);
             let cached = CachingKeyService::new(authority(level), 16);
             let ys = vec![vec![3, -7, 11], vec![0, 0, 1], vec![-100, 50, 25]];

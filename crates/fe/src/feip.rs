@@ -1208,15 +1208,7 @@ mod tests {
     fn ratio_kernel_is_bit_identical_to_combine() {
         const EXTREMES: [i64; 8] = [i64::MIN, 0, i64::MAX, i64::MIN + 1, -1, i64::MAX - 1, 1, 0];
         let mut rng = StdRng::seed_from_u64(0x20);
-        for level in [
-            SecurityLevel::Bits32,
-            SecurityLevel::Bits64,
-            SecurityLevel::Bits128,
-            SecurityLevel::Bits192,
-            SecurityLevel::Bits224,
-            SecurityLevel::Bits256,
-            SecurityLevel::Bits256Fast,
-        ] {
+        for level in [SecurityLevel::Bits64, SecurityLevel::Bits256Fast] {
             let group = SchnorrGroup::precomputed(level);
             // dim + 1 coordinates (ct₀ included) cover every lane
             // remainder: 2, 4, 5, 10 and 11.

@@ -89,24 +89,36 @@ proptest! {
     }
 }
 
-/// Every embedded security level — the multi-scalar ≡ naive equivalence
-/// must hold at each one (different moduli exercise different carry and
-/// reduction paths).
-const ALL_LEVELS: [SecurityLevel; 7] = [
-    SecurityLevel::Bits32,
-    SecurityLevel::Bits64,
-    SecurityLevel::Bits128,
-    SecurityLevel::Bits192,
-    SecurityLevel::Bits224,
-    SecurityLevel::Bits256,
-    SecurityLevel::Bits256Fast,
-];
+/// Both embedded groups plus a generic (non-Montgomery-friendly)
+/// 256-bit safe-prime group — the multi-scalar ≡ naive equivalence must
+/// hold in each (OneLimb, FastP64 and Generic reduction take different
+/// carry paths).
+fn all_groups() -> &'static [SchnorrGroup; 3] {
+    static GROUPS: OnceLock<[SchnorrGroup; 3]> = OnceLock::new();
+    GROUPS.get_or_init(|| {
+        use cryptonn_bigint::U256;
+        let generic_256 = SchnorrGroup::from_params(
+            U256::from_hex("a504130456d8cce0af73fd190c683b02148b6371a703ba4bac786a772db736af")
+                .unwrap(),
+            U256::from_hex("528209822b6c667057b9fe8c86341d810a45b1b8d381dd25d63c353b96db9b57")
+                .unwrap(),
+            U256::from_u64(4),
+            &mut StdRng::seed_from_u64(0),
+        )
+        .unwrap();
+        [
+            SchnorrGroup::precomputed(SecurityLevel::Bits64),
+            SchnorrGroup::precomputed(SecurityLevel::Bits256Fast),
+            generic_256,
+        ]
+    })
+}
 
 /// The paper's first-layer geometry (dim-784 rows, two-decimal
 /// fixed-point operands): the production batched sweep — shared
 /// recodings, lane kernels, one batched inversion — recovers every cell
 /// bit-identically to the naive one-pow-per-term reference and to the
-/// plaintext inner product, at the levels the serving path runs at.
+/// plaintext inner product, in every group of [`all_groups`].
 #[test]
 fn feip_batched_cells_equal_naive_at_paper_geometry() {
     const DIM: usize = 784;
@@ -115,14 +127,9 @@ fn feip_batched_cells_equal_naive_at_paper_geometry() {
     let xs = [draw(), draw()];
     let ys = [draw(), draw()];
     let rows: Vec<&[i64]> = ys.iter().map(Vec::as_slice).collect();
-    for level in [
-        SecurityLevel::Bits64,
-        SecurityLevel::Bits256,
-        SecurityLevel::Bits256Fast,
-    ] {
+    for g in all_groups() {
         let mut rng = StdRng::seed_from_u64(902);
-        let g = SchnorrGroup::precomputed(level);
-        let table = DlogTable::new(&g, 100 * 100 * DIM as u64);
+        let table = DlogTable::new(g, 100 * 100 * DIM as u64);
         let (mpk, msk) = feip::setup(g.clone(), DIM, &mut rng);
         let cts: Vec<_> = xs
             .iter()
@@ -130,7 +137,7 @@ fn feip_batched_cells_equal_naive_at_paper_geometry() {
             .collect();
         let keys: Vec<_> = ys
             .iter()
-            .map(|y| feip::key_derive(&g, &msk, y).unwrap())
+            .map(|y| feip::key_derive(g, &msk, y).unwrap())
             .collect();
         let cells = feip::decrypt_cells(
             &mpk,
@@ -145,8 +152,9 @@ fn feip_batched_cells_equal_naive_at_paper_geometry() {
             for (r, y) in ys.iter().enumerate() {
                 let plain: i64 = x.iter().zip(y).map(|(a, b)| a * b).sum();
                 let naive = feip::decrypt_naive(&mpk, ct, &keys[r], y, &table).unwrap();
-                assert_eq!(cells[c * ys.len() + r], naive, "{level:?} cell ({c},{r})");
-                assert_eq!(naive, plain, "{level:?} cell ({c},{r})");
+                let p = g.modulus();
+                assert_eq!(cells[c * ys.len() + r], naive, "p = {p} cell ({c},{r})");
+                assert_eq!(naive, plain, "p = {p} cell ({c},{r})");
             }
         }
     }
@@ -169,15 +177,14 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for level in ALL_LEVELS {
-            let g = SchnorrGroup::precomputed(level);
+        for g in all_groups() {
             let (mpk, msk) = feip::setup(g.clone(), 4, &mut rng);
             let ct = feip::encrypt(&mpk, &x, &mut rng).unwrap();
-            let sk = feip::key_derive(&g, &msk, &y).unwrap();
+            let sk = feip::key_derive(g, &msk, &y).unwrap();
             prop_assert_eq!(
                 feip::decrypt_raw(&mpk, &ct, &sk, &y).unwrap(),
                 feip::decrypt_raw_naive(&mpk, &ct, &sk, &y).unwrap(),
-                "level {:?}", level
+                "p = {}", g.modulus()
             );
         }
     }
@@ -190,19 +197,18 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for level in ALL_LEVELS {
-            let g = SchnorrGroup::precomputed(level);
+        for g in all_groups() {
             let (mpk, msk) = febo::setup(g.clone(), &mut rng);
             for op in BasicOp::ALL {
                 if op == BasicOp::Div && y == 0 {
                     continue;
                 }
                 let ct = febo::encrypt(&mpk, x, &mut rng);
-                let sk = febo::key_derive(&g, &msk, ct.commitment(), op, y).unwrap();
+                let sk = febo::key_derive(g, &msk, ct.commitment(), op, y).unwrap();
                 prop_assert_eq!(
                     febo::decrypt_raw(&mpk, &sk, &ct, op, y).unwrap(),
                     febo::decrypt_raw_naive(&mpk, &sk, &ct, op, y).unwrap(),
-                    "level {:?} op {}", level, op
+                    "p = {} op {}", g.modulus(), op
                 );
             }
         }

@@ -1,17 +1,19 @@
-//! Versioned on-disk cache for precomputed tables (DESIGN.md §13.4).
+//! Versioned on-disk cache for BSGS tables (DESIGN.md §13.4).
 //!
-//! Building the generator comb and a BSGS baby-step table dominates
-//! serving cold-start: both are pure functions of the group parameters
-//! (and, for BSGS, the bound), so a restart can skip the build entirely
-//! by reloading Montgomery-form entries from disk.
+//! A BSGS baby-step table is a pure function of the group parameters
+//! and the bound, and building one at training's bounds takes
+//! milliseconds, so a restart skips the build by reloading the table
+//! from disk. Nothing else is cached: the generator comb rebuilds in
+//! ≈ 40 µs at `Bits256Fast`, and a warm load saved only half of that
+//! (DESIGN.md §13.4).
 //!
 //! ## File format
 //!
 //! ```text
 //! magic    8 B   "CNNTBL04" (bumped on any layout change)
-//! kind     1 B   1 = generator comb, 2 = dlog table
+//! kind     1 B   2 = dlog table (1, the retired generator comb, is a miss)
 //! fprint  96 B   p ‖ q ‖ g, each 32 B big-endian
-//! payload  …     kind-specific (see below)
+//! payload  …     see below
 //! check    8 B   4-lane word-folded FNV-1a-64 over everything above
 //!                (see [`fnv1a`]), little-endian
 //! ```
@@ -25,18 +27,16 @@
 //! through a temp file + rename so a crash mid-write can never leave a
 //! truncated file that parses.
 //!
-//! Comb payload: `⌈bits(q)/4⌉ × 15` × 32 B big-endian Montgomery
-//! residues, row-major (base, modulus and window count are implied by
-//! the fingerprint). Dlog payload: `m`, `bound`, `up_mont`, `giant_mont`,
-//! then the baby map in packed form — slot capacity, length-prefixed
-//! occupancy bitmap, length-prefixed occupied `(key, index)` pairs in
-//! slot order — and the length-prefixed collision side list.
+//! Payload: `m`, `bound`, `up_mont`, `giant_mont`, then the baby map in
+//! packed form — slot capacity, length-prefixed occupancy bitmap,
+//! length-prefixed occupied `(key, index)` pairs in slot order — and
+//! the length-prefixed collision side list.
 //!
 //! Both the payload shape and the checksum are sized against the warm
-//! path, not the cold one. The dlog file persists the baby map's
-//! occupied slots *in slot order* with a one-bit-per-slot occupancy
-//! bitmap: a warm load is a bitmap-guided sequential scatter —
-//! re-keying `√B` entries through the hash map would rival the
+//! path, not the cold one. The file persists the baby map's occupied
+//! slots *in slot order* with a one-bit-per-slot occupancy bitmap: a
+//! warm load is a bitmap-guided sequential scatter — re-keying `√B`
+//! entries through the hash map would rival the
 //! (lane-kernel-accelerated) Montgomery baby chain it is meant to skip
 //! — and the ≥ ⅓ of slots that are vacant by construction cost one bit
 //! each instead of 16 bytes, nearly halving what the warm start must
@@ -52,19 +52,13 @@ use std::path::{Path, PathBuf};
 use cryptonn_bigint::U256;
 
 use crate::dlog::{DlogTable, PackedSlots};
-use crate::fixed_base::FixedBaseTable;
 use crate::group::SchnorrGroup;
 
 const MAGIC: [u8; 8] = *b"CNNTBL04";
+/// The byte after the magic: the table kind. Only dlog tables persist.
+const KIND_DLOG: u8 = 2;
 const FPRINT_LEN: usize = 96;
 const HEADER_LEN: usize = MAGIC.len() + 1 + FPRINT_LEN;
-
-/// Table kinds; the byte after the magic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Kind {
-    Comb = 1,
-    Dlog = 2,
-}
 
 /// `p ‖ q ‖ g`, each 32 bytes big-endian — the identity of a group as
 /// far as cached tables are concerned.
@@ -119,22 +113,18 @@ fn short(fp: &[u8; FPRINT_LEN]) -> u64 {
     fnv1a(fp)
 }
 
-fn comb_path(dir: &Path, fp: &[u8; FPRINT_LEN]) -> PathBuf {
-    dir.join(format!("comb-g-{:016x}.tbl", short(fp)))
-}
-
 fn dlog_path(dir: &Path, fp: &[u8; FPRINT_LEN], bound: u64) -> PathBuf {
     dir.join(format!("dlog-{:016x}-b{bound}.tbl", short(fp)))
 }
 
 /// Frames `payload` and writes it atomically (temp file + rename).
-fn write_atomic(path: &Path, kind: Kind, fp: &[u8; FPRINT_LEN], payload: &[u8]) -> io::Result<()> {
+fn write_atomic(path: &Path, fp: &[u8; FPRINT_LEN], payload: &[u8]) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
     buf.extend_from_slice(&MAGIC);
-    buf.push(kind as u8);
+    buf.push(KIND_DLOG);
     buf.extend_from_slice(fp);
     buf.extend_from_slice(payload);
     let check = fnv1a(&buf);
@@ -152,7 +142,7 @@ fn write_atomic(path: &Path, kind: Kind, fp: &[u8; FPRINT_LEN], payload: &[u8]) 
 /// bad checksum). Callers slice the payload out with [`payload`] —
 /// returning the frame instead of copying the payload keeps the
 /// warm-start path to a single buffer.
-fn read_verified(path: &Path, kind: Kind, fp: &[u8; FPRINT_LEN]) -> Option<Vec<u8>> {
+fn read_verified(path: &Path, fp: &[u8; FPRINT_LEN]) -> Option<Vec<u8>> {
     let buf = fs::read(path).ok()?;
     if buf.len() < HEADER_LEN + 8 {
         return None;
@@ -161,7 +151,7 @@ fn read_verified(path: &Path, kind: Kind, fp: &[u8; FPRINT_LEN]) -> Option<Vec<u
     if fnv1a(body) != u64::from_le_bytes(check.try_into().ok()?) {
         return None;
     }
-    if body[..MAGIC.len()] != MAGIC || body[MAGIC.len()] != kind as u8 {
+    if body[..MAGIC.len()] != MAGIC || body[MAGIC.len()] != KIND_DLOG {
         return None;
     }
     if &body[MAGIC.len() + 1..HEADER_LEN] != fp {
@@ -245,42 +235,13 @@ fn push_words(buf: &mut Vec<u8>, words: &[u64]) {
     }
 }
 
-// ---- generator comb ---------------------------------------------------
-
-/// Loads a cached generator comb for `(p, q, g)`, or `None` on miss.
-pub(crate) fn load_comb(dir: &Path, p: &U256, q: &U256, g: &U256) -> Option<FixedBaseTable> {
-    let fp = fingerprint(p, q, g);
-    let frame = read_verified(&comb_path(dir, &fp), Kind::Comb, &fp)?;
-    let payload = payload(&frame);
-    if payload.len() != FixedBaseTable::cached_len(q.bit_len()) * 32 {
-        return None;
-    }
-    let flat: Vec<U256> = payload
-        .chunks_exact(32)
-        .map(|c| U256::from_be_bytes(c.try_into().expect("exact chunk")))
-        .collect();
-    FixedBaseTable::from_cached_entries(*g, *p, q.bit_len(), &flat)
-}
-
-/// Persists a group's generator comb (best-effort; IO errors surface to
-/// the caller, who typically ignores them — a failed write just means
-/// the next start is cold again).
-pub(crate) fn store_comb(dir: &Path, group: &SchnorrGroup) -> io::Result<()> {
-    let fp = fingerprint(group.modulus(), group.order(), group.generator().value());
-    let mut payload = Vec::with_capacity(FixedBaseTable::cached_len(group.order().bit_len()) * 32);
-    for entry in group.generator_table().entries_flat() {
-        payload.extend_from_slice(&entry.to_be_bytes());
-    }
-    write_atomic(&comb_path(dir, &fp), Kind::Comb, &fp, &payload)
-}
-
 // ---- dlog table -------------------------------------------------------
 
 /// Loads a cached BSGS table for `group` at exactly `bound`, or `None`
 /// on miss.
 pub(crate) fn load_dlog(dir: &Path, group: &SchnorrGroup, bound: u64) -> Option<DlogTable> {
     let fp = fingerprint(group.modulus(), group.order(), group.generator().value());
-    let frame = read_verified(&dlog_path(dir, &fp, bound), Kind::Dlog, &fp)?;
+    let frame = read_verified(&dlog_path(dir, &fp, bound), &fp)?;
     let mut r = Reader(payload(&frame));
     let m = r.u64()?;
     let file_bound = r.u64()?;
@@ -316,7 +277,7 @@ pub(crate) fn store_dlog(dir: &Path, group: &SchnorrGroup, table: &DlogTable) ->
     push_words(&mut payload, &packed.bitmap);
     push_pairs(&mut payload, &packed.occupied);
     push_pairs(&mut payload, collisions);
-    write_atomic(&dlog_path(dir, &fp, bound), Kind::Dlog, &fp, &payload)
+    write_atomic(&dlog_path(dir, &fp, bound), &fp, &payload)
 }
 
 impl DlogTable {
@@ -359,67 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn comb_roundtrip_and_warm_load() {
-        let dir = scratch_dir("comb");
-        let group = SchnorrGroup::precomputed(SecurityLevel::Bits64);
-        assert!(load_comb(
-            &dir,
-            group.modulus(),
-            group.order(),
-            group.generator().value()
-        )
-        .is_none());
-        store_comb(&dir, &group).unwrap();
-        let table = load_comb(
-            &dir,
-            group.modulus(),
-            group.order(),
-            group.generator().value(),
-        )
-        .expect("warm load");
-        assert_eq!(&table, group.generator_table());
-        // The warm table actually computes: g^e must match.
-        let e = group.scalar_from_u64(123_456_789);
-        assert_eq!(group.exp_table(&table, &e), group.exp(&e));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_comb_files_are_rebuilt_and_rewritten() {
-        let dir = scratch_dir("comb-stale");
-        let group = SchnorrGroup::precomputed(SecurityLevel::Bits64);
-        let (p, q, g) = (group.modulus(), group.order(), *group.generator().value());
-        let fp = fingerprint(p, q, &g);
-        // A checksummed comb frame under `magic` carrying `payload`.
-        let frame = |magic: &[u8; 8], payload: &[u8]| {
-            let mut buf = magic.to_vec();
-            buf.push(Kind::Comb as u8);
-            buf.extend_from_slice(&fp);
-            buf.extend_from_slice(payload);
-            let check = fnv1a(&buf);
-            buf.extend_from_slice(&check.to_le_bytes());
-            buf
-        };
-        let table = group.generator_table();
-        let current: Vec<u8> = table.entries_flat().flat_map(|e| e.to_be_bytes()).collect();
-        let entry = table.entries_flat().next().unwrap();
-        let wide: Vec<u8> = (0..64 * 15).flat_map(|_| entry.to_be_bytes()).collect();
-
-        // The pre-sizing geometry (64 windows for a 63-bit q) under the
-        // current magic, and the current geometry under the old magic.
-        for stale in [frame(&MAGIC, &wide), frame(b"CNNTBL03", &current)] {
-            fs::write(comb_path(&dir, &fp), &stale).unwrap();
-            assert!(load_comb(&dir, p, q, &g).is_none());
-            let rebuilt = SchnorrGroup::precomputed_cached(SecurityLevel::Bits64, &dir);
-            let e = group.scalar_from_u64(987_654_321);
-            assert_eq!(rebuilt.exp(&e), group.exp(&e));
-            let healed = load_comb(&dir, p, q, &g).expect("rewritten cache");
-            assert_eq!(group.exp_table(&healed, &e), group.exp(&e));
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn dlog_load_or_build_roundtrip() {
         let dir = scratch_dir("dlog");
         let group = SchnorrGroup::precomputed(SecurityLevel::Bits64);
@@ -440,7 +340,7 @@ mod tests {
     fn fingerprint_mismatch_is_rejected_and_rebuilt() {
         let dir = scratch_dir("mismatch");
         let group_a = SchnorrGroup::precomputed(SecurityLevel::Bits64);
-        let group_b = SchnorrGroup::precomputed(SecurityLevel::Bits128);
+        let group_b = SchnorrGroup::precomputed(SecurityLevel::Bits256Fast);
         let bound = 2_000u64;
 
         // Populate the cache for group A, then plant A's file at group
@@ -493,9 +393,10 @@ mod tests {
         // Truncation: too short to even frame.
         fs::write(&path, &pristine[..HEADER_LEN]).unwrap();
         assert!(load_dlog(&dir, &group, bound).is_none());
-        // Wrong kind byte (checksum re-stamped to isolate the check).
+        // Wrong kind byte — 1, the retired generator comb — with the
+        // checksum re-stamped to isolate the check.
         let mut wrong_kind = pristine.clone();
-        wrong_kind[MAGIC.len()] = Kind::Comb as u8;
+        wrong_kind[MAGIC.len()] = 1;
         let body_len = wrong_kind.len() - 8;
         let check = fnv1a(&wrong_kind[..body_len]);
         wrong_kind[body_len..].copy_from_slice(&check.to_le_bytes());

@@ -236,43 +236,6 @@ impl FixedBaseTable {
         }
         ctx.from_mont_lanes(&acc)
     }
-
-    // ---- cache (de)serialization hooks -------------------------------
-
-    /// Montgomery-form entries in a comb covering `exp_bits`-bit
-    /// exponents: the cache payload geometry.
-    pub(crate) fn cached_len(exp_bits: usize) -> usize {
-        windows(exp_bits) * DIGITS
-    }
-
-    /// The comb entries flattened row-major, for the on-disk cache.
-    pub(crate) fn entries_flat(&self) -> impl Iterator<Item = &U256> {
-        self.rows.iter().flat_map(|row| row.iter())
-    }
-
-    /// Rebuilds a table covering `exp_bits`-bit exponents from cached
-    /// entries. Returns `None` if the entry count is wrong for that
-    /// geometry — the cache layer treats that as corruption and falls
-    /// back to a fresh build.
-    pub(crate) fn from_cached_entries(
-        base: U256,
-        modulus: U256,
-        exp_bits: usize,
-        flat: &[U256],
-    ) -> Option<Self> {
-        if flat.len() != Self::cached_len(exp_bits) {
-            return None;
-        }
-        let rows = flat
-            .chunks_exact(DIGITS)
-            .map(|chunk| core::array::from_fn(|d| chunk[d]))
-            .collect();
-        Some(Self {
-            base,
-            modulus,
-            rows,
-        })
-    }
 }
 
 impl core::fmt::Debug for FixedBaseTable {
@@ -384,26 +347,6 @@ mod tests {
         for lane in 0..LANES {
             assert_eq!(got[lane], tables[1].pow(&ctx, &es[lane]));
         }
-    }
-
-    #[test]
-    fn cached_entries_roundtrip() {
-        let p = p25519();
-        let ctx = Montgomery::new(&p).unwrap();
-        let table = FixedBaseTable::build(&ctx, &U256::from_u64(4), 255);
-        let flat: Vec<U256> = table.entries_flat().copied().collect();
-        assert_eq!(flat.len(), FixedBaseTable::cached_len(255));
-        let back =
-            FixedBaseTable::from_cached_entries(table.base, table.modulus, 255, &flat).unwrap();
-        assert_eq!(back.rows, table.rows);
-        assert!(
-            FixedBaseTable::from_cached_entries(table.base, table.modulus, 255, &flat[1..])
-                .is_none()
-        );
-        // Entries for another exponent width are another geometry.
-        assert!(
-            FixedBaseTable::from_cached_entries(table.base, table.modulus, 63, &flat).is_none()
-        );
     }
 
     #[test]

@@ -139,89 +139,33 @@ impl<'de> Deserialize<'de> for SchnorrGroup {
     }
 }
 
-/// Named security levels with precomputed safe-prime parameters.
+/// The two embedded groups this repository runs.
 ///
-/// The parameters were generated once by
-/// `cryptonn-bigint/examples/gen_group_params.rs` from a fixed seed and
-/// verified prime on construction (see `params` tests).
+/// `Bits64` serves the tests and the `serve_open` benchmark workload;
+/// `Bits256Fast` is the paper's 256-bit setting and every other
+/// benchmark workload. Neither resists a discrete-log computation: a
+/// 256-bit prime field is far below the 795-bit NFS record (Boudot et
+/// al., CRYPTO 2020), so whoever can run NFS on `p` recovers secret
+/// exponents from public keys (DESIGN.md §3.2).
+///
+/// Provenance (DESIGN.md §3.2): the `Bits256Fast` pair is reproduced by
+/// a seeded search in this crate's tests
+/// (`bits256_fast_params_are_reproduced_by_their_seeded_search`). How
+/// the `Bits64` pair was drawn is not recorded; it is vouched for only
+/// by `all_precomputed_params_are_valid`, which re-validates both pairs
+/// through [`SchnorrGroup::from_params`]. Construction itself checks
+/// nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum SecurityLevel {
-    /// 32-bit toy parameters — unit tests only.
-    Bits32,
-    /// 64-bit parameters — fast integration tests and CI benches.
+    /// 64-bit parameters — tests and the open-loop serving benchmark.
     Bits64,
-    /// 128-bit parameters — the default for the figure benchmarks.
-    Bits128,
-    /// 192-bit parameters.
-    Bits192,
-    /// 224-bit parameters.
-    Bits224,
-    /// 256-bit parameters — the paper's evaluation setting.
-    Bits256,
     /// 256-bit Montgomery-friendly parameters: a safe prime with
     /// `p ≡ -1 (mod 2^64)` (and `q ≡ -1 (mod 2^64)` as well), so both
     /// modulus fields take the `Reducer::FastP64` reduction that drops
-    /// one multiply per CIOS round (DESIGN.md §13.2). Same margin as
-    /// [`SecurityLevel::Bits256`], which is to say none against a
-    /// discrete-log computation: no level here resists one. A 256-bit
-    /// prime field is far below the 795-bit NFS record (Boudot et al.,
-    /// CRYPTO 2020), so whoever can run NFS on `p` recovers secret
-    /// exponents from public keys (DESIGN.md §3.2).
+    /// one multiply per CIOS round (DESIGN.md §13.2).
     Bits256Fast,
 }
-
-impl SecurityLevel {
-    /// The modulus width in bits.
-    pub fn bits(&self) -> usize {
-        match self {
-            SecurityLevel::Bits32 => 32,
-            SecurityLevel::Bits64 => 64,
-            SecurityLevel::Bits128 => 128,
-            SecurityLevel::Bits192 => 192,
-            SecurityLevel::Bits224 => 224,
-            SecurityLevel::Bits256 => 256,
-            SecurityLevel::Bits256Fast => 256,
-        }
-    }
-}
-
-/// Precomputed `(p, q)` hex pairs, indexed like [`SecurityLevel`].
-const PARAMS: &[(SecurityLevel, &str, &str)] = &[
-    (SecurityLevel::Bits32, "85a1545f", "42d0aa2f"),
-    (
-        SecurityLevel::Bits64,
-        "e1946b58700bae4f",
-        "70ca35ac3805d727",
-    ),
-    (
-        SecurityLevel::Bits128,
-        "e8a60f34154b07019e29019fd53661e7",
-        "7453079a0aa58380cf1480cfea9b30f3",
-    ),
-    (
-        SecurityLevel::Bits192,
-        "cae643bc62df98dce86d1a300a4f8dc41916bd5ee88ba403",
-        "657321de316fcc6e74368d180527c6e20c8b5eaf7445d201",
-    ),
-    (
-        SecurityLevel::Bits224,
-        "f1fcd972befe655dea418894ba5e896515c2f7f09dee7ecd12512353",
-        "78fe6cb95f7f32aef520c44a5d2f44b28ae17bf84ef73f66892891a9",
-    ),
-    (
-        SecurityLevel::Bits256,
-        "a504130456d8cce0af73fd190c683b02148b6371a703ba4bac786a772db736af",
-        "528209822b6c667057b9fe8c86341d810a45b1b8d381dd25d63c353b96db9b57",
-    ),
-    // Generated by cryptonn-bigint/examples/gen_fast_prime.rs (seeded);
-    // p = k·2^64 − 1 with k even, so q = (p−1)/2 ends in 64 one-bits too.
-    (
-        SecurityLevel::Bits256Fast,
-        "9f2c45ea4d0cf9de4608fe14686ecec4ec2bde9b9326aa17ffffffffffffffff",
-        "4f9622f526867cef23047f0a343767627615ef4dc993550bffffffffffffffff",
-    ),
-];
 
 impl SchnorrGroup {
     /// `GroupGen(1^λ)`: generates a fresh safe-prime group of `bits` bits.
@@ -244,32 +188,27 @@ impl SchnorrGroup {
         Self::with_default_generator(p, q)
     }
 
-    /// [`precomputed`](Self::precomputed), but warm-startable: loads
-    /// the generator comb table from the on-disk cache in `dir` when a
-    /// valid one exists, and otherwise builds it and persists it
-    /// (best-effort) for the next start. Cache files are keyed and
-    /// stamped with the group fingerprint `(p, q, g)`; anything invalid
-    /// — foreign fingerprint, corruption, stale format — is rebuilt and
-    /// overwritten (DESIGN.md §13.4).
-    pub fn precomputed_cached(level: SecurityLevel, dir: &std::path::Path) -> Self {
-        let (p, q) = Self::embedded_params(level);
-        let g = U256::from_u64(4);
-        debug_assert_eq!(mod_pow(&g, &q, &p), U256::ONE);
-        let cached = crate::cache::load_comb(dir, &p, &q, &g);
-        let warm = cached.is_some();
-        let group = Self::from_checked_parts_with(p, q, g, cached);
-        if !warm {
-            let _ = crate::cache::store_comb(dir, &group);
-        }
-        group
+    /// [`precomputed`](Self::precomputed) under an older signature: `dir`
+    /// is ignored and nothing is read or written. Rebuilding the
+    /// generator comb costs ≈ 40 µs at `Bits256Fast`, too little for a
+    /// disk cache to pay off (DESIGN.md §13.4). Kept only because the
+    /// benchmark package's CNN set-up calls it; ROADMAP item 1(d)
+    /// removes it.
+    pub fn precomputed_cached(level: SecurityLevel, _dir: &std::path::Path) -> Self {
+        Self::precomputed(level)
     }
 
     /// The embedded `(p, q)` pair for a named security level.
     fn embedded_params(level: SecurityLevel) -> (U256, U256) {
-        let (_, p_hex, q_hex) = PARAMS
-            .iter()
-            .find(|(l, _, _)| *l == level)
-            .expect("all levels have parameters");
+        let (p_hex, q_hex) = match level {
+            SecurityLevel::Bits64 => ("e1946b58700bae4f", "70ca35ac3805d727"),
+            // p = k·2^64 − 1 with k even, so q = (p−1)/2 ends in 64
+            // one-bits too; see the seeded-search test below.
+            SecurityLevel::Bits256Fast => (
+                "9f2c45ea4d0cf9de4608fe14686ecec4ec2bde9b9326aa17ffffffffffffffff",
+                "4f9622f526867cef23047f0a343767627615ef4dc993550bffffffffffffffff",
+            ),
+        };
         let p = U256::from_hex(p_hex).expect("valid embedded hex");
         let q = U256::from_hex(q_hex).expect("valid embedded hex");
         (p, q)
@@ -311,15 +250,9 @@ impl SchnorrGroup {
     /// `q` must already be validated odd primes (all callers either
     /// embed, generate, or explicitly check them).
     fn from_checked_parts(p: U256, q: U256, g: U256) -> Self {
-        Self::from_checked_parts_with(p, q, g, None)
-    }
-
-    /// [`from_checked_parts`](Self::from_checked_parts) with an
-    /// optional pre-built (cache-loaded) generator comb.
-    fn from_checked_parts_with(p: U256, q: U256, g: U256, table: Option<FixedBaseTable>) -> Self {
         let mont_p = Montgomery::new(&p).expect("p is an odd prime");
         let mont_q = Montgomery::new(&q).expect("q is an odd prime");
-        let g_table = table.unwrap_or_else(|| FixedBaseTable::build(&mont_p, &g, q.bit_len()));
+        let g_table = FixedBaseTable::build(&mont_p, &g, q.bit_len());
         Self {
             p,
             q,
@@ -586,12 +519,22 @@ mod tests {
         SchnorrGroup::precomputed(SecurityLevel::Bits64)
     }
 
+    /// A generic (non-Montgomery-friendly) 256-bit safe prime `(p, q)`,
+    /// so the `Reducer::Generic` arm stays covered by a real group.
+    const GENERIC_256: (&str, &str) = (
+        "a504130456d8cce0af73fd190c683b02148b6371a703ba4bac786a772db736af",
+        "528209822b6c667057b9fe8c86341d810a45b1b8d381dd25d63c353b96db9b57",
+    );
+
     #[test]
     fn all_precomputed_params_are_valid() {
         let mut rng = StdRng::seed_from_u64(0);
-        for (level, _, _) in PARAMS {
-            let g = SchnorrGroup::precomputed(*level);
-            assert_eq!(g.modulus().bit_len(), level.bits());
+        for (level, bits) in [
+            (SecurityLevel::Bits64, 64),
+            (SecurityLevel::Bits256Fast, 256),
+        ] {
+            let g = SchnorrGroup::precomputed(level);
+            assert_eq!(g.modulus().bit_len(), bits);
             // Re-validate through the checked constructor.
             let validated = SchnorrGroup::from_params(
                 *g.modulus(),
@@ -601,6 +544,41 @@ mod tests {
             );
             assert!(validated.is_ok(), "level {level:?}");
         }
+    }
+
+    /// The `Bits256Fast` pair is what its seeded search yields: a
+    /// 256-bit safe prime `p = k·2^64 − 1` with `k` even and top bit
+    /// set, so `p ≡ q ≡ -1 (mod 2^64)` and both fields take
+    /// `Reducer::FastP64`. About 2 700 candidates; release only.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn bits256_fast_params_are_reproduced_by_their_seeded_search() {
+        use cryptonn_bigint::prime::is_prime_with_rounds;
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(0x2019_0426);
+        let (p, q) = loop {
+            // k: 192 bits, top bit set (so p fills 256 bits), low bit clear.
+            let k = U256::from_limbs([
+                rng.random::<u64>() & !1,
+                rng.random(),
+                rng.random::<u64>() | (1 << 63),
+                0,
+            ]);
+            let p = k.shl(64).wrapping_sub(&U256::ONE);
+            let q = p.shr(1); // (p - 1) / 2, exact because p is odd
+
+            // Cheap screen before the full 40-round certification.
+            if !is_prime_with_rounds(&p, 2, &mut rng) || !is_prime_with_rounds(&q, 2, &mut rng) {
+                continue;
+            }
+            if is_prime(&p, &mut rng) && is_prime(&q, &mut rng) {
+                break (p, q);
+            }
+        };
+        assert_eq!(
+            (p, q),
+            SchnorrGroup::embedded_params(SecurityLevel::Bits256Fast)
+        );
     }
 
     #[test]
@@ -647,7 +625,13 @@ mod tests {
         let fast = SchnorrGroup::precomputed(SecurityLevel::Bits256Fast);
         assert_eq!(fast.ctx.mont_p.reducer(), Reducer::FastP64);
         assert_eq!(fast.ctx.mont_q.reducer(), Reducer::FastP64);
-        let generic = SchnorrGroup::precomputed(SecurityLevel::Bits256);
+        let generic = SchnorrGroup::from_params(
+            U256::from_hex(GENERIC_256.0).unwrap(),
+            U256::from_hex(GENERIC_256.1).unwrap(),
+            U256::from_u64(4),
+            &mut StdRng::seed_from_u64(8),
+        )
+        .unwrap();
         assert_eq!(generic.ctx.mont_p.reducer(), Reducer::Generic);
         assert_eq!(generic.ctx.mont_q.reducer(), Reducer::Generic);
         // One-limb moduli skip the 4-limb CIOS on both fields.
@@ -660,18 +644,19 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_cached_warm_start_matches_cold() {
+    fn precomputed_cached_equals_precomputed_and_writes_nothing() {
         let dir = std::env::temp_dir().join(format!("cryptonn-group-comb-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cold = SchnorrGroup::precomputed_cached(SecurityLevel::Bits64, &dir);
-        let warm = SchnorrGroup::precomputed_cached(SecurityLevel::Bits64, &dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cached = SchnorrGroup::precomputed_cached(SecurityLevel::Bits64, &dir);
         let plain = SchnorrGroup::precomputed(SecurityLevel::Bits64);
+        assert_eq!(cached, plain);
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..8 {
             let e = plain.random_scalar(&mut rng);
-            assert_eq!(cold.exp(&e), plain.exp(&e));
-            assert_eq!(warm.exp(&e), plain.exp(&e));
+            assert_eq!(cached.exp(&e), plain.exp(&e));
         }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -768,10 +753,8 @@ mod tests {
         let tables: Vec<FixedBaseTable> = bases.iter().map(|b| g.fixed_base_table(b)).collect();
         let refs: [&FixedBaseTable; LANES] = core::array::from_fn(|i| &tables[i]);
         // The comb covers ⌈bits(q)/4⌉ windows, not 256 bits.
-        assert_eq!(
-            tables[0].entries_flat().count(),
-            q.bit_len().div_ceil(4) * 15
-        );
+        let windows = format!("windows: {} }}", q.bit_len().div_ceil(4));
+        assert!(format!("{:?}", tables[0]).ends_with(&windows));
 
         // A scalar decoded off the wire is not reduced mod q.
         let bytes = cryptonn_wire::to_vec(&U256::MAX.wrapping_sub(&U256::ONE)).unwrap();
@@ -808,7 +791,7 @@ mod tests {
 
     #[test]
     fn exp_table_matches_pow() {
-        let g = SchnorrGroup::precomputed(SecurityLevel::Bits256);
+        let g = SchnorrGroup::precomputed(SecurityLevel::Bits256Fast);
         let mut rng = StdRng::seed_from_u64(6);
         let base = g.exp(&g.random_scalar(&mut rng));
         let table = g.fixed_base_table(&base);
@@ -823,7 +806,7 @@ mod tests {
 
     #[test]
     fn multi_pow_matches_factored_form() {
-        let g = SchnorrGroup::precomputed(SecurityLevel::Bits128);
+        let g = SchnorrGroup::precomputed(SecurityLevel::Bits256Fast);
         let mut rng = StdRng::seed_from_u64(7);
         let b1 = g.exp(&g.random_scalar(&mut rng));
         let b2 = g.exp(&g.random_scalar(&mut rng));
@@ -842,9 +825,9 @@ mod tests {
     #[should_panic(expected = "foreign group")]
     fn foreign_table_is_rejected_in_release_too() {
         let g64 = SchnorrGroup::precomputed(SecurityLevel::Bits64);
-        let g128 = SchnorrGroup::precomputed(SecurityLevel::Bits128);
+        let g256 = SchnorrGroup::precomputed(SecurityLevel::Bits256Fast);
         let table = g64.fixed_base_table(&g64.generator());
-        let _ = g128.exp_table(&table, &g128.scalar_from_u64(3));
+        let _ = g256.exp_table(&table, &g256.scalar_from_u64(3));
     }
 
     #[test]

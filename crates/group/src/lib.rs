@@ -5,8 +5,9 @@
 //!
 //! The paper's `GroupGen(1^λ)` (§II-B) is realized by
 //! [`SchnorrGroup::generate`] (fresh safe prime) or
-//! [`SchnorrGroup::precomputed`] (embedded parameters per
-//! [`SecurityLevel`]). Decryption in both FEIP and FEBO ends with a
+//! [`SchnorrGroup::precomputed`], which embeds two groups: the paper's
+//! 256 bits ([`SecurityLevel::Bits256Fast`]) and a 64-bit group for
+//! tests ([`SecurityLevel::Bits64`]). Decryption in both FEIP and FEBO ends with a
 //! discrete logarithm of a bounded value, recovered via the baby-step
 //! giant-step [`DlogTable`].
 //!
@@ -23,19 +24,18 @@
 //! The batch-decrypt hot paths additionally stride four independent
 //! cells per call through `cryptonn-bigint`'s lane-batched Montgomery
 //! kernel ([`SchnorrGroup::multi_scalar_ratio_lanes`],
-//! [`DlogTable::solve_batch`]), [`SecurityLevel::Bits256Fast`] selects
-//! a Montgomery-friendly safe prime with one multiply per reduction
-//! round shaved off, and generator comb / BSGS tables persist to a
-//! fingerprinted on-disk cache ([`SchnorrGroup::precomputed_cached`],
-//! [`DlogTable::load_or_build`]) so serving restarts skip the table
-//! builds — DESIGN.md §13.
+//! [`DlogTable::solve_batch`]), [`SecurityLevel::Bits256Fast`] is a
+//! Montgomery-friendly safe prime with one multiply per reduction
+//! round shaved off, and BSGS tables persist to a fingerprinted on-disk
+//! cache ([`DlogTable::load_or_build`]) so restarts skip the table
+//! build — DESIGN.md §13.
 //!
 //! ## Example
 //!
 //! ```
 //! use cryptonn_group::{DlogTable, SchnorrGroup, SecurityLevel};
 //!
-//! let group = SchnorrGroup::precomputed(SecurityLevel::Bits128);
+//! let group = SchnorrGroup::precomputed(SecurityLevel::Bits64);
 //! let table = DlogTable::new(&group, 10_000);
 //!
 //! // g^(a+b) recovered from g^a * g^b.

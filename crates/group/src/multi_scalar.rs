@@ -617,11 +617,11 @@ mod tests {
     #[should_panic(expected = "foreign group")]
     fn foreign_tables_are_rejected() {
         let g64 = SchnorrGroup::precomputed(SecurityLevel::Bits64);
-        let g128 = SchnorrGroup::precomputed(SecurityLevel::Bits128);
+        let g256 = SchnorrGroup::precomputed(SecurityLevel::Bits256Fast);
         let bases = vec![g64.generator()];
         let tables = g64.odd_power_tables(&bases);
         let scalars = WnafScalars::recode(&[3]);
-        let _ = g128.multi_scalar_ratio(&tables, &scalars);
+        let _ = g256.multi_scalar_ratio(&tables, &scalars);
     }
 
     #[test]

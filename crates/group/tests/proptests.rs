@@ -10,6 +10,31 @@ fn group() -> &'static SchnorrGroup {
     G.get_or_init(|| SchnorrGroup::precomputed(SecurityLevel::Bits64))
 }
 
+/// Both embedded groups plus a generic (non-Montgomery-friendly)
+/// 256-bit safe-prime group, so every `Reducer` arm is exercised:
+/// OneLimb, FastP64 and Generic.
+fn reducer_groups() -> &'static [SchnorrGroup; 3] {
+    static GROUPS: OnceLock<[SchnorrGroup; 3]> = OnceLock::new();
+    GROUPS.get_or_init(|| {
+        use cryptonn_bigint::U256;
+        use rand::SeedableRng;
+        let generic_256 = SchnorrGroup::from_params(
+            U256::from_hex("a504130456d8cce0af73fd190c683b02148b6371a703ba4bac786a772db736af")
+                .unwrap(),
+            U256::from_hex("528209822b6c667057b9fe8c86341d810a45b1b8d381dd25d63c353b96db9b57")
+                .unwrap(),
+            U256::from_u64(4),
+            &mut rand::rngs::StdRng::seed_from_u64(0),
+        )
+        .unwrap();
+        [
+            SchnorrGroup::precomputed(SecurityLevel::Bits64),
+            SchnorrGroup::precomputed(SecurityLevel::Bits256Fast),
+            generic_256,
+        ]
+    })
+}
+
 fn table() -> &'static DlogTable {
     static T: OnceLock<DlogTable> = OnceLock::new();
     T.get_or_init(|| DlogTable::new(group(), 3_000_000))
@@ -81,11 +106,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The `Reducer` seam is transparent at every security level: group
-    /// arithmetic over the embedded parameters (OneLimb for `Bits32`
-    /// and `Bits64`, FastP64 for `Bits256Fast`, Generic elsewhere)
-    /// equals schoolbook
-    /// multiply-then-divide in both the element and scalar fields.
+    /// The `Reducer` seam is transparent in every arm: group arithmetic
+    /// (OneLimb for `Bits64`, FastP64 for `Bits256Fast`, Generic for a
+    /// generic 256-bit group) equals schoolbook multiply-then-divide in
+    /// both the element and scalar fields.
     #[test]
     fn reducer_matches_schoolbook_at_every_level(
         a in proptest::collection::vec(any::<u64>(), 4),
@@ -94,16 +118,7 @@ proptest! {
         use cryptonn_bigint::{modular, U256};
         let a: [u64; 4] = [a[0], a[1], a[2], a[3]];
         let b: [u64; 4] = [b[0], b[1], b[2], b[3]];
-        for level in [
-            SecurityLevel::Bits32,
-            SecurityLevel::Bits64,
-            SecurityLevel::Bits128,
-            SecurityLevel::Bits192,
-            SecurityLevel::Bits224,
-            SecurityLevel::Bits256,
-            SecurityLevel::Bits256Fast,
-        ] {
-            let g = SchnorrGroup::precomputed(level);
+        for g in reducer_groups() {
             let (av, bv) = (U256::from_limbs(a), U256::from_limbs(b));
             // Element field Z_p.
             let (x, y) = (g.element_from_u256(av), g.element_from_u256(bv));
@@ -112,7 +127,7 @@ proptest! {
                 prop_assert_eq!(
                     *got.value(),
                     modular::mod_mul(x.value(), y.value(), g.modulus()),
-                    "p-field at {:?}", level
+                    "p-field mod {}", g.modulus()
                 );
             }
             // Scalar field Z_q.
@@ -121,7 +136,7 @@ proptest! {
             prop_assert_eq!(
                 *got.value(),
                 modular::mod_mul(s.value(), t.value(), g.order()),
-                "q-field at {:?}", level
+                "q-field of {}", g.modulus()
             );
         }
     }

@@ -323,10 +323,10 @@ fn wire_alphabet_is_frozen() {
 /// quotes under JSON but `tag + u32 len + ≤32` raw limb bytes under
 /// binary. (At the tiny `Bits64` test group the fixed-width integer
 /// tags can outweigh the hex savings, which is why this check pins
-/// `Bits256` specifically — the bench gate's level.)
+/// `Bits256Fast` specifically — the benchmark's level.)
 #[test]
 fn binary_encrypted_batch_is_smaller_at_bits256() {
-    let group = SchnorrGroup::precomputed(SecurityLevel::Bits256);
+    let group = SchnorrGroup::precomputed(SecurityLevel::Bits256Fast);
     let auth = KeyAuthority::with_seed(group, PermittedFunctions::all(), 77);
     let mut client = Client::for_mlp(&auth, 4, 3, FixedPoint::TWO_DECIMALS, 9);
     let x = Matrix::from_fn(2, 4, |r, c| ((r * 4 + c) % 10) as f64 / 10.0);

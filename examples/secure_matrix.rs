@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let group = SchnorrGroup::precomputed(SecurityLevel::Bits128);
+    let group = SchnorrGroup::precomputed(SecurityLevel::Bits64);
     let authority = KeyAuthority::with_seed(group.clone(), PermittedFunctions::all(), 99);
     let mut rng = StdRng::seed_from_u64(7);
 
