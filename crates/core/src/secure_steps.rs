@@ -331,9 +331,11 @@ pub fn secure_conv_forward<A: KeyService + ?Sized>(
 }
 
 /// Secure first-layer filter gradient for a convolutional layer:
-/// `∇W[oc] = Σ_windows Gp[window, oc] · window`, computed by combining
-/// the encrypted window ciphertexts with the plaintext per-window deltas
-/// `Gp` (`n_windows × out_c`).
+/// `∇W[oc] = Σ_windows Gp[window, oc] · window`, the plaintext
+/// per-window deltas `Gp` (`n_windows × out_c`) weighting the encrypted
+/// window ciphertexts — all filters in one
+/// [`feip::decrypt_combinations`] call, read coordinate-wise with the
+/// cached unit keys, no combination materialised.
 ///
 /// Returns the gradient in the layer's `(out_c, c·kh·kw)` orientation.
 ///
@@ -372,24 +374,18 @@ pub fn secure_conv_weight_grad<A: KeyService + ?Sized>(
 
     let mpk = authority.feip_public_key(dim)?;
     let window_refs: Vec<&FeipCiphertext> = windows.iter().collect();
+    // One weight row per filter: the rows of Gpᵀ.
+    let gq_t = gq.transpose();
+    let filter_rows: Vec<&[i64]> = gq_t.iter_rows().collect();
 
-    // One combined ciphertext per filter, then all `dim` coordinates
-    // read in one batched pass (shared ct₀ comb table, one inversion).
-    // Filters are independent → parallelize across them.
-    let rows: Vec<Result<Vec<i64>, CryptoNnError>> =
-        parallel_map(out_c, parallelism.thread_count(), |oc| {
-            let weights = gq.col(oc);
-            let combined = feip::combine(&mpk, &window_refs, &weights)?;
-            feip::decrypt_coordinates(&mpk, &combined, unit_keys, &table)
-                .map_err(CryptoNnError::from)
-        });
-
+    let sums = feip::decrypt_combinations(
+        &mpk,
+        &window_refs,
+        &filter_rows,
+        unit_keys,
+        &table,
+        parallelism,
+    )?;
     let denom = factor * data_fp.scale() as f64;
-    let mut grad = Matrix::zeros(out_c, dim);
-    for (oc, row) in rows.into_iter().enumerate() {
-        for (j, v) in row?.into_iter().enumerate() {
-            grad[(oc, j)] = v as f64 / denom;
-        }
-    }
-    Ok(grad)
+    Ok(Matrix::from_vec(out_c, dim, sums).map(|v| v as f64 / denom))
 }

@@ -10,7 +10,7 @@ use cryptonn_core::{
     Client, CryptoCnn, CryptoMlp, CryptoNnConfig, CryptoNnError, DlogTableCache, Objective,
 };
 use cryptonn_fe::{KeyAuthority, PermittedFunctions};
-use cryptonn_group::SchnorrGroup;
+use cryptonn_group::{SchnorrGroup, SecurityLevel};
 use cryptonn_matrix::{im2col, ConvSpec, Matrix, Tensor4};
 use cryptonn_nn::metrics::one_hot;
 use cryptonn_nn::Dense;
@@ -25,7 +25,10 @@ struct Fixture {
 }
 
 fn fixture(seed: u64) -> Fixture {
-    let config = CryptoNnConfig::fast();
+    fixture_with(CryptoNnConfig::fast(), seed)
+}
+
+fn fixture_with(config: CryptoNnConfig, seed: u64) -> Fixture {
     let group = SchnorrGroup::precomputed(config.level);
     Fixture {
         authority: KeyAuthority::with_seed(group.clone(), PermittedFunctions::all(), seed),
@@ -200,16 +203,23 @@ fn dense_batch(fx: &Fixture, n: usize, m: usize) -> (cryptonn_core::EncryptedBat
     (batch, x)
 }
 
-/// An image batch of `n` 1×6×6 images under a 3×3 same-padding
-/// convolution (36 windows of dimension 9 per image), and its plaintext.
-fn image_batch(fx: &Fixture, n: usize) -> (cryptonn_core::EncryptedImageBatch, Tensor4, ConvSpec) {
+/// An image batch of `n` 1×`side`×`side` images under a 3×3
+/// same-padding convolution (`side²` windows of dimension 9 per image),
+/// and its plaintext.
+fn image_batch(
+    fx: &Fixture,
+    n: usize,
+    side: usize,
+) -> (cryptonn_core::EncryptedImageBatch, Tensor4, ConvSpec) {
     let spec = ConvSpec::square(3, 1, 1);
     let images = Tensor4::from_vec(
         n,
         1,
-        6,
-        6,
-        (0..n * 36).map(|v| ((v * 5) % 13) as f64 / 13.0).collect(),
+        side,
+        side,
+        (0..n * side * side)
+            .map(|v| ((v * 5) % 13) as f64 / 13.0)
+            .collect(),
     );
     let mut client = Client::for_cnn(&fx.authority, &spec, 1, 2, fx.config.fp, 97);
     let y = one_hot(&vec![0; n], 2);
@@ -248,7 +258,7 @@ fn secure_dense_gradient_recovers_the_exact_integers() {
 fn secure_conv_gradient_recovers_the_exact_integers() {
     let mut fx = fixture(96);
     let (fp, grad_fp) = (fx.config.fp, fx.config.grad_fp);
-    let (batch, images, spec) = image_batch(&fx, 2);
+    let (batch, images, spec) = image_batch(&fx, 2, 6);
     let (windows, out_c) = (batch.batch_size() * 36, 3);
     let grad_rows = signed_delta(windows, out_c);
     let unit_keys = derive_unit_keys(&fx.authority, batch.window_dim()).unwrap();
@@ -272,12 +282,56 @@ fn secure_conv_gradient_recovers_the_exact_integers() {
     assert_eq!(got, expect);
 }
 
+/// `lenet_small`'s first layer at `Bits256Fast`, the `train_cnn`
+/// geometry: 3 filters over a batch of eight 14×14 images, 1 568
+/// windows of dimension 9. The filter gradient recovers the exact
+/// integers `Σ_w gq[w,oc]·xq[w,j]`, bit for bit on one and two threads.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow: release CI runs it")]
+fn secure_conv_gradient_is_exact_at_the_lenet_small_geometry() {
+    let config = CryptoNnConfig {
+        level: SecurityLevel::Bits256Fast,
+        ..CryptoNnConfig::fast()
+    };
+    let mut fx = fixture_with(config, 101);
+    let (fp, grad_fp) = (fx.config.fp, fx.config.grad_fp);
+    let (batch, images, spec) = image_batch(&fx, 8, 14);
+    let (windows, out_c) = (batch.batch_size() * 196, 3);
+    assert_eq!((windows, batch.window_dim()), (1568, 9));
+    let grad_rows = signed_delta(windows, out_c);
+    let unit_keys = derive_unit_keys(&fx.authority, batch.window_dim()).unwrap();
+    let mut run = |parallelism| {
+        secure_conv_weight_grad(
+            &fx.authority,
+            &mut fx.cache,
+            &batch,
+            &grad_rows,
+            &unit_keys,
+            fp,
+            grad_fp,
+            parallelism,
+        )
+        .unwrap()
+    };
+    let serial = run(Parallelism::Serial);
+    let threaded = run(Parallelism::Threads(2));
+    assert_eq!(bits(&serial), bits(&threaded));
+
+    let windows_q = im2col(&images.map(|v| fp.encode(v) as f64), &spec).map(|v| v as i64);
+    let (gq, factor) = quantize_delta(&grad_rows, grad_fp);
+    let expect = gq.transpose().matmul(&windows_q);
+    assert_eq!(
+        gradient_integers(&serial, factor * fp.scale() as f64),
+        expect
+    );
+}
+
 #[test]
 fn non_finite_delta_fails_closed() {
     let mut fx = fixture(98);
     let (fp, grad_fp) = (fx.config.fp, fx.config.grad_fp);
     let (batch, _) = dense_batch(&fx, 4, 3);
-    let (image_batch, _, _) = image_batch(&fx, 1);
+    let (image_batch, _, _) = image_batch(&fx, 1, 6);
     let dense_keys = derive_unit_keys(&fx.authority, 4).unwrap();
     let conv_keys = derive_unit_keys(&fx.authority, image_batch.window_dim()).unwrap();
     let windows = image_batch.batch_size() * 36;

@@ -333,8 +333,8 @@ fn combination_dimension(
     Ok(dim)
 }
 
-/// The linear homomorphism of [`combine`] as deferred ratios, the
-/// kernel under [`decrypt_combinations`]: for every weight row `r` and
+/// The linear homomorphism as deferred ratios, the kernel under
+/// [`combine`] and [`decrypt_combinations`]: for every weight row `r` and
 /// every coordinate `j ∈ 0..=dim` (coordinate 0 is `ct₀`), the ratio
 /// `Π_s ct_{s,j}^{w_{r,s}}`, row-major `k × (dim + 1)`.
 ///
@@ -396,12 +396,12 @@ fn combination_ratios(
 /// gradient row is a weighted sum of the encrypted sample columns (see
 /// DESIGN.md §4 for the security discussion).
 ///
-/// This is the reference form of the homomorphism: it materialises the
-/// combination with one full-width exponentiation per (ciphertext,
-/// coordinate). The convolution filter gradient reads its result with
-/// [`decrypt_coordinates`]; the dense gradient reads the same
-/// coordinates off deferred ratios through [`decrypt_combinations`],
-/// which is tested against this function bit for bit.
+/// The combination runs on the multi-scalar kernel under
+/// [`decrypt_combinations`], with one weight row, and resolves its
+/// `dim + 1` ratios in one batched inversion, so a coordinate costs one
+/// shared squaring chain of height `log₂(max|w|)` rather than one
+/// full-width exponentiation per ciphertext. [`decrypt_coordinates`]
+/// reads the result; the secure gradients never materialise it.
 ///
 /// # Errors
 ///
@@ -417,21 +417,16 @@ pub fn combine(
     weights: &[i64],
 ) -> Result<FeipCiphertext, FeError> {
     assert!(!cts.is_empty(), "combine requires at least one ciphertext");
-    let dim = combination_dimension(cts, &[weights])?;
+    combination_dimension(cts, &[weights])?;
     let group = &mpk.group;
-    let mut ct0 = group.identity();
-    let mut cts_out = vec![group.identity(); dim];
-    for (ct, &w) in cts.iter().zip(weights) {
-        if w == 0 {
-            continue;
-        }
-        let e = group.scalar_from_i64(w);
-        ct0 = group.mul(&ct0, &group.pow(&ct.ct0, &e));
-        for (acc, cti) in cts_out.iter_mut().zip(&ct.cts) {
-            *acc = group.mul(acc, &group.pow(cti, &e));
-        }
-    }
-    Ok(FeipCiphertext { ct0, cts: cts_out })
+    let mut coords = group
+        .resolve_ratios(&combination_ratios(group, cts, &[weights], 1))
+        .into_iter();
+    let ct0 = coords.next().expect("coordinate 0 is ct0");
+    Ok(FeipCiphertext {
+        ct0,
+        cts: coords.collect(),
+    })
 }
 
 /// Computes the raw decryption `g^{⟨x,y⟩} = ∏ ctᵢ^{yᵢ} / ct₀^{sk_f}`
@@ -747,10 +742,10 @@ pub fn decrypt_cells_refs(
 ///
 /// The unit numerators are just `ctⱼ` (no exponentiation at all), the
 /// `ct₀^{sk_j}` denominators share one comb table on `ct₀`, and all
-/// `dim` divisions resolve through one batched inversion. The
-/// convolution filter gradient reads its [`combine`]d ciphertexts this
-/// way; the dense gradient reads combinations it never materialises
-/// through [`decrypt_combinations`], which ends in the same read.
+/// `dim` divisions resolve through one batched inversion. It reads a
+/// [`combine`]d ciphertext; both secure gradients read combinations
+/// they never materialise through [`decrypt_combinations`], which ends
+/// in the same read.
 ///
 /// # Errors
 ///
@@ -834,8 +829,8 @@ fn read_coordinates(
 /// numerators stay ratios until the row's single batched inversion.
 /// Both phases fan out over `parallelism`, the first over
 /// (row × coordinate stride) units so few rows over many ciphertexts
-/// (the convolution shape, tested but not wired in yet) still fill
-/// every thread.
+/// (the convolution filter gradient: one row per filter over every
+/// window) still fill every thread.
 ///
 /// Returns values row-major: `out[r * dim + j]`. Empty `cts` or
 /// `weight_rows` return an empty vector.
@@ -1201,15 +1196,54 @@ mod tests {
         assert!(combine(&mpk, &[&ct], &[1, 2]).is_err());
     }
 
-    /// The ratio kernel under [`decrypt_combinations`], resolved into a
-    /// ciphertext, must equal the one-exponentiation-per-term
-    /// [`combine`] bit for bit.
+    /// The textbook homomorphism: one full-width exponentiation per
+    /// (ciphertext, coordinate), zero weights skipped.
+    fn combine_per_term_pow(
+        group: &SchnorrGroup,
+        cts: &[&FeipCiphertext],
+        weights: &[i64],
+    ) -> FeipCiphertext {
+        let mut ct0 = group.identity();
+        let mut cts_out = vec![group.identity(); cts[0].dimension()];
+        for (ct, &w) in cts.iter().zip(weights) {
+            if w == 0 {
+                continue;
+            }
+            let e = group.scalar_from_i64(w);
+            ct0 = group.mul(&ct0, &group.pow(&ct.ct0, &e));
+            for (acc, cti) in cts_out.iter_mut().zip(&ct.cts) {
+                *acc = group.mul(acc, &group.pow(cti, &e));
+            }
+        }
+        FeipCiphertext { ct0, cts: cts_out }
+    }
+
+    /// [`combine`], which runs on the multi-scalar ratio kernel, must
+    /// equal the one-exponentiation-per-term homomorphism bit for bit
+    /// under every reducer: OneLimb (`Bits64`), FastP64 (`Bits256Fast`)
+    /// and Generic (a non-Montgomery-friendly 256-bit safe prime).
     #[test]
-    fn ratio_kernel_is_bit_identical_to_combine() {
+    fn combine_is_bit_identical_to_per_term_pow() {
         const EXTREMES: [i64; 8] = [i64::MIN, 0, i64::MAX, i64::MIN + 1, -1, i64::MAX - 1, 1, 0];
         let mut rng = StdRng::seed_from_u64(0x20);
-        for level in [SecurityLevel::Bits64, SecurityLevel::Bits256Fast] {
-            let group = SchnorrGroup::precomputed(level);
+        let generic_256 = SchnorrGroup::from_params(
+            cryptonn_bigint::U256::from_hex(
+                "a504130456d8cce0af73fd190c683b02148b6371a703ba4bac786a772db736af",
+            )
+            .unwrap(),
+            cryptonn_bigint::U256::from_hex(
+                "528209822b6c667057b9fe8c86341d810a45b1b8d381dd25d63c353b96db9b57",
+            )
+            .unwrap(),
+            cryptonn_bigint::U256::from_u64(4),
+            &mut rng,
+        )
+        .unwrap();
+        for group in [
+            SchnorrGroup::precomputed(SecurityLevel::Bits64),
+            SchnorrGroup::precomputed(SecurityLevel::Bits256Fast),
+            generic_256,
+        ] {
             // dim + 1 coordinates (ct₀ included) cover every lane
             // remainder: 2, 4, 5, 10 and 11.
             for dim in [1usize, 3, 4, 9, 10] {
@@ -1226,18 +1260,11 @@ mod tests {
                         .map(|_| rng.random_range(-1_000_000..=1_000_000))
                         .collect();
                     for weights in [&random[..], &EXTREMES[..m], &vec![0i64; m][..]] {
-                        let mut coords = group
-                            .resolve_ratios(&combination_ratios(&group, &refs, &[weights], 1))
-                            .into_iter();
-                        let ct0 = coords.next().expect("coordinate 0 is ct0");
-                        let kernel = FeipCiphertext {
-                            ct0,
-                            cts: coords.collect(),
-                        };
                         assert_eq!(
-                            kernel,
                             combine(&mpk, &refs, weights).unwrap(),
-                            "{level:?} dim {dim} m {m} weights {weights:?}"
+                            combine_per_term_pow(&group, &refs, weights),
+                            "p = {:?} dim {dim} m {m} weights {weights:?}",
+                            group.modulus()
                         );
                     }
                 }

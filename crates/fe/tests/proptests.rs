@@ -250,9 +250,10 @@ impl GradientFixture {
 
     /// `decrypt_combinations` over `m` fresh ciphertexts and `k` delta
     /// rows (signed, a quarter of the weights zero, the last row all
-    /// zero) must equal `decrypt_coordinates(combine(..))` row by row
-    /// and the plaintext `Σ wₛ·xₛ`, identically at every thread count.
-    fn check(&self, m: usize, k: usize, seed: u64) -> Result<(), String> {
+    /// zero) must equal the plaintext `Σ wₛ·xₛ`, identically at every
+    /// thread count — and, with `via_combine`, also
+    /// `decrypt_coordinates(combine(..))` row by row.
+    fn check(&self, m: usize, k: usize, seed: u64, via_combine: bool) -> Result<(), String> {
         use cryptonn_parallel::Parallelism;
         let mut rng = StdRng::seed_from_u64(seed);
         let dim = self.unit_keys.len();
@@ -296,14 +297,17 @@ impl GradientFixture {
         let fused = run(Parallelism::Serial);
         prop_assert_eq!(fused.len(), k * dim);
         for (r, row) in rows.iter().enumerate() {
-            let combined = feip::combine(&self.mpk, &refs, row).unwrap();
-            let read =
-                feip::decrypt_coordinates(&self.mpk, &combined, &self.unit_keys, &self.table)
-                    .unwrap();
-            prop_assert_eq!(&fused[r * dim..(r + 1) * dim], &read[..], "row {}", r);
-            for (j, &got) in read.iter().enumerate() {
+            let got = &fused[r * dim..(r + 1) * dim];
+            for (j, &cell) in got.iter().enumerate() {
                 let plain: i64 = row.iter().zip(&xs).map(|(w, x)| w * x[j]).sum();
-                prop_assert_eq!(got, plain, "cell ({}, {})", r, j);
+                prop_assert_eq!(cell, plain, "cell ({}, {})", r, j);
+            }
+            if via_combine {
+                let combined = feip::combine(&self.mpk, &refs, row).unwrap();
+                let read =
+                    feip::decrypt_coordinates(&self.mpk, &combined, &self.unit_keys, &self.table)
+                        .unwrap();
+                prop_assert_eq!(got, &read[..], "row {}", r);
             }
         }
         prop_assert_eq!(&run(Parallelism::Threads(2)), &fused);
@@ -320,23 +324,24 @@ proptest! {
     /// 8 encrypted samples of dimension 784 at `Bits256Fast`.
     #[test]
     fn decrypt_combinations_equals_combine_then_read_at_dense_geometry(seed in any::<u64>()) {
-        GradientFixture::new(SecurityLevel::Bits256Fast, 784, 8).check(8, 16, seed)?;
+        GradientFixture::new(SecurityLevel::Bits256Fast, 784, 8).check(8, 16, seed, true)?;
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The shape of `train_cnn`'s filter gradient: 3 filter rows over
-    /// hundreds of encrypted 3×3 windows. `secure_conv_weight_grad`
-    /// still goes through `combine`; this pins the kernel at that shape
-    /// for when it switches.
+    /// The shape of `train_cnn`'s filter gradient, which
+    /// `secure_conv_weight_grad` computes in one `decrypt_combinations`
+    /// call: 3 filter rows over hundreds of encrypted 3×3 windows,
+    /// checked against the plaintext sums (`combine` runs on the same
+    /// kernel, so it is no independent reference here).
     #[test]
-    fn decrypt_combinations_equals_combine_then_read_at_conv_geometry(
+    fn decrypt_combinations_equals_plaintext_at_conv_geometry(
         m in 200usize..=260,
         seed in any::<u64>(),
     ) {
-        GradientFixture::new(SecurityLevel::Bits256Fast, 9, 260).check(m, 3, seed)?;
+        GradientFixture::new(SecurityLevel::Bits256Fast, 9, 260).check(m, 3, seed, false)?;
     }
 }
 
