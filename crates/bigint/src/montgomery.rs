@@ -285,12 +285,6 @@ impl Montgomery {
         self.mont_mul_lanes(x, x)
     }
 
-    /// Converts four reduced values into Montgomery form in one
-    /// lane-batched call.
-    pub fn to_mont_lanes(&self, a: &[U256; 4]) -> [U256; 4] {
-        self.mont_mul_lanes(a, &[self.r2; 4])
-    }
-
     /// Converts four Montgomery forms back to plain residues in one
     /// lane-batched call.
     pub fn from_mont_lanes(&self, a: &[U256; 4]) -> [U256; 4] {

@@ -231,11 +231,6 @@ macro_rules! define_uint {
                 self.limbs[0]
             }
 
-            /// Truncates to the low 128 bits.
-            pub fn low_u128(&self) -> u128 {
-                self.limbs[0] as u128 | ((self.limbs[1] as u128) << 64)
-            }
-
             /// Addition returning `(wrapped_sum, carried)`.
             pub fn overflowing_add(&self, rhs: &Self) -> (Self, bool) {
                 let mut out = *self;

@@ -204,11 +204,6 @@ impl Client {
         self.parallelism
     }
 
-    /// The quantization this client applies.
-    pub fn fixed_point(&self) -> FixedPoint {
-        self.fp
-    }
-
     /// The shared feature preamble of every encrypt path: shape checks,
     /// transpose to the paper's samples-as-columns layout, quantization,
     /// and the max-|x| metadata the server's dlog bound needs.

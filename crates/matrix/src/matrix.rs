@@ -142,11 +142,6 @@ impl<T: Copy> Matrix<T> {
         &self.data
     }
 
-    /// Mutable access to the row-major data.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Consumes the matrix, returning the row-major data vector.
     pub fn into_vec(self) -> Vec<T> {
         self.data

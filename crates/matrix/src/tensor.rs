@@ -90,11 +90,6 @@ impl Tensor4 {
         &self.data
     }
 
-    /// Mutable access to the NCHW data.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     #[inline]
     fn offset(&self, n: usize, c: usize, y: usize, x: usize) -> usize {
         debug_assert!(n < self.n && c < self.c && y < self.h && x < self.w);

@@ -19,7 +19,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -89,22 +88,12 @@ impl AuthorityConnector for LocalAuthority {
 #[derive(Debug, Clone)]
 pub struct RemoteAuthority {
     addr: SocketAddr,
-    max_frame: usize,
 }
 
 impl RemoteAuthority {
     /// Points at an authority daemon.
     pub fn new(addr: SocketAddr) -> Self {
-        Self {
-            addr,
-            max_frame: DEFAULT_MAX_FRAME,
-        }
-    }
-
-    /// Replaces the frame cap used on authority connections.
-    pub fn with_max_frame(mut self, max_frame: usize) -> Self {
-        self.max_frame = max_frame;
-        self
+        Self { addr }
     }
 }
 
@@ -114,7 +103,7 @@ impl AuthorityConnector for RemoteAuthority {
         session: SessionId,
         config: &SessionConfig,
     ) -> Result<(PublicParams, Box<dyn AuthorityChannel>), NetError> {
-        let mut transport = TcpTransport::connect(self.addr, self.max_frame)?;
+        let mut transport = TcpTransport::connect(self.addr, DEFAULT_MAX_FRAME)?;
         transport.send(&NetMsg::Hello(Hello {
             session,
             peer: Peer::Server,
@@ -255,7 +244,6 @@ pub struct AuthorityServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    registry: AuthorityRegistry,
     links: LinkRegistry,
 }
 
@@ -305,7 +293,6 @@ impl AuthorityServer {
             addr,
             shutdown,
             accept: Some(accept),
-            registry,
             links,
         })
     }
@@ -313,11 +300,6 @@ impl AuthorityServer {
     /// The bound address (use with [`RemoteAuthority::new`]).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Sessions currently registered.
-    pub fn session_count(&self) -> usize {
-        self.registry.lock().len()
     }
 
     /// Stops accepting, closes every live peer link, and waits for the
@@ -540,8 +522,6 @@ impl ShareClient for TcpShareClient {
 pub struct ThresholdAuthority {
     addrs: Vec<SocketAddr>,
     setup: ThresholdSetup,
-    max_frame: usize,
-    read_timeout: Option<Duration>,
     fault_plans: HashMap<usize, FaultPlan>,
 }
 
@@ -561,8 +541,6 @@ impl ThresholdAuthority {
         Self {
             addrs,
             setup,
-            max_frame: DEFAULT_MAX_FRAME,
-            read_timeout: None,
             fault_plans: HashMap::new(),
         }
     }
@@ -598,19 +576,6 @@ impl ThresholdAuthority {
     /// The `(n, t)` deployment this connector expects.
     pub fn setup(&self) -> ThresholdSetup {
         self.setup
-    }
-
-    /// Replaces the frame cap used on share-holder connections.
-    pub fn with_max_frame(mut self, max_frame: usize) -> Self {
-        self.max_frame = max_frame;
-        self
-    }
-
-    /// Applies a read deadline per share-holder exchange, so one hung
-    /// node degrades to an eviction instead of stalling derivation.
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = Some(timeout);
-        self
     }
 
     /// Injects a [`FaultPlan`] on the connection to the node at
@@ -655,7 +620,7 @@ impl AuthorityConnector for ThresholdAuthority {
         let mut commitments: Option<Vec<Element>> = None;
         let mut nodes: Vec<Box<dyn ShareClient>> = Vec::new();
         for (pos, addr) in self.addrs.iter().enumerate() {
-            let handshake = dial_share_node(*addr, self.max_frame, self.read_timeout, || Hello {
+            let handshake = dial_share_node(*addr, || Hello {
                 session,
                 peer: Peer::Server,
                 config: config.clone(),
@@ -733,12 +698,9 @@ impl AuthorityConnector for ThresholdAuthority {
 /// `PublicParams`, then `ShareRequest::Info` → `PartialKey::Info`.
 fn dial_share_node(
     addr: SocketAddr,
-    max_frame: usize,
-    read_timeout: Option<Duration>,
     hello: impl FnOnce() -> Hello,
 ) -> Result<(TcpTransport, PublicParams, ShareInfo), NetError> {
-    let mut transport = TcpTransport::connect(addr, max_frame)?;
-    transport.set_read_timeout(read_timeout)?;
+    let mut transport = TcpTransport::connect(addr, DEFAULT_MAX_FRAME)?;
     transport.send(&NetMsg::Hello(hello()))?;
     let params = match transport.recv()? {
         Some(NetMsg::Msg(WireMessage::PublicParams(p))) => p,

@@ -13,7 +13,7 @@
 //! reading fills its queue and is disconnected rather than ballooning
 //! the process.
 //!
-//! The wire format is unchanged (4-byte big-endian length + serde-JSON
+//! The wire format is the blocking codec's (4-byte big-endian length +
 //! payload), so reactor and thread-per-connection peers interoperate
 //! frame-for-frame; the equivalence proptests in
 //! `tests/codec_proptests.rs` pin this down at every chunk boundary.
@@ -21,7 +21,6 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Write};
 
-use cryptonn_wire::WireFormat;
 use serde::de::DeserializeOwned;
 
 use crate::error::NetError;
@@ -42,10 +41,6 @@ pub struct FrameDecoder {
     /// away once they dominate the buffer.
     start: usize,
     max_frame: usize,
-    /// Format of the last frame [`next_msg`](Self::next_msg) decoded —
-    /// what a mirroring sender on this connection should speak. Starts
-    /// at the seed JSON until a frame says otherwise.
-    last_format: WireFormat,
 }
 
 impl FrameDecoder {
@@ -55,14 +50,7 @@ impl FrameDecoder {
             buf: Vec::new(),
             start: 0,
             max_frame,
-            last_format: WireFormat::Json,
         }
-    }
-
-    /// The format of the most recently decoded frame (seed JSON before
-    /// any frame arrived).
-    pub fn last_format(&self) -> WireFormat {
-        self.last_format
     }
 
     /// Appends raw stream bytes.
@@ -138,21 +126,12 @@ impl FrameDecoder {
     /// exactly the taxonomy of the blocking
     /// [`read_frame`](crate::framing::read_frame).
     pub fn next_msg<T: DeserializeOwned>(&mut self) -> Result<Option<T>, NetError> {
-        // Borrow dance: `next_payload` holds `&mut self`, so sniff the
-        // format into a local before updating the tracker.
-        let (msg, format) = match self.next_payload()? {
-            None => return Ok(None),
-            Some(payload) => {
-                let format = WireFormat::sniff(payload);
-                // Decoded straight from the buffered bytes — sniffed
-                // dispatch, no whole-payload `from_utf8` pre-pass.
-                let msg = cryptonn_wire::decode_payload(payload)
-                    .map_err(|e| NetError::Malformed(e.to_string()))?;
-                (msg, format)
-            }
-        };
-        self.last_format = format;
-        Ok(Some(msg))
+        // Decoded straight from the buffered bytes — sniffed dispatch,
+        // no whole-payload `from_utf8` pre-pass.
+        self.next_payload()?
+            .map(cryptonn_wire::decode_payload)
+            .transpose()
+            .map_err(|e| NetError::Malformed(e.to_string()))
     }
 
     /// Bytes buffered but not yet consumed by a yielded frame.

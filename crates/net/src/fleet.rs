@@ -75,7 +75,6 @@ use crate::reactor::{
     ConnId, Reactor, ReactorApp, ReactorCtx, ReactorHandle, ReactorOptions, ReactorStats,
 };
 use crate::transport::{Hello, NetMsg, Peer};
-use cryptonn_wire::WireFormat;
 
 /// Tuning for an [`InferenceFleet`].
 #[derive(Debug, Clone)]
@@ -115,10 +114,9 @@ impl Default for FleetOptions {
     }
 }
 
-/// `client -> (connection, shard, wire format)`: written by the loop
-/// on handshake and close, read by shard workers to address responses
-/// in the format the client speaks.
-type Registry = Arc<Mutex<HashMap<ClientId, (ConnId, usize, WireFormat)>>>;
+/// `client -> (connection, shard)`: written by the loop on handshake
+/// and close, read by shard workers to address responses.
+type Registry = Arc<Mutex<HashMap<ClientId, (ConnId, usize)>>>;
 
 #[derive(Debug, Default)]
 struct ShardStats {
@@ -185,14 +183,11 @@ impl FleetApp {
             return;
         }
         let shard = shard_of(client, self.shard_txs.len());
-        // The Hello frame's format is the connection's dialect: shard
-        // workers answer this client the same way it spoke.
-        let format = ctx.peer_format(conn);
         let evicted = self
             .registry
             .lock()
-            .insert(client, (conn, shard, format))
-            .map(|(old, _, _)| old);
+            .insert(client, (conn, shard))
+            .map(|(old, _)| old);
         if let Some(old) = evicted {
             // Latest connection wins (the SessionServer rejoin rule):
             // the previous connection is dead or dying — typically a
@@ -260,7 +255,7 @@ impl ReactorApp for FleetApp {
             let mut registry = self.registry.lock();
             // Only unregister if the entry still names this connection
             // (a reconnect may have raced the close).
-            if registry.get(&client).is_some_and(|(c, _, _)| *c == conn) {
+            if registry.get(&client).is_some_and(|(c, _)| *c == conn) {
                 registry.remove(&client);
             }
         }
@@ -275,7 +270,7 @@ fn shard_worker(
     handle: ReactorHandle,
     stats: Arc<ShardStats>,
 ) {
-    let conn_of = |client: ClientId| registry.lock().get(&client).map(|(c, _, f)| (*c, *f));
+    let conn_of = |client: ClientId| registry.lock().get(&client).map(|(c, _)| *c);
     loop {
         // Block for the first event, then drain whatever else is
         // already in flight — that momentary backlog is exactly the
@@ -296,8 +291,8 @@ fn shard_worker(
                     // Malformed traffic costs the offender its
                     // connection; the shard and everyone else's
                     // requests are untouched.
-                    if let Some((conn, fmt)) = conn_of(client) {
-                        let _ = handle.send_fmt(conn, &NetMsg::Reject(e.to_string()), fmt);
+                    if let Some(conn) = conn_of(client) {
+                        let _ = handle.send(conn, &NetMsg::Reject(e.to_string()));
                         handle.close(conn);
                     }
                 }
@@ -309,18 +304,15 @@ fn shard_worker(
                 // A sweep failure loses the drained window and is not
                 // attributable to one client: tell this shard's
                 // clients and drop them; other shards keep serving.
-                let mine: Vec<(ConnId, WireFormat)> = registry
+                let mine: Vec<ConnId> = registry
                     .lock()
                     .iter()
-                    .filter(|(_, (_, s, _))| *s == me)
-                    .map(|(_, (conn, _, fmt))| (*conn, *fmt))
+                    .filter(|(_, (_, s))| *s == me)
+                    .map(|(_, (conn, _))| *conn)
                     .collect();
-                for (conn, fmt) in mine {
-                    let _ = handle.send_fmt(
-                        conn,
-                        &NetMsg::Reject(format!("serving sweep failed: {e}")),
-                        fmt,
-                    );
+                let why = NetMsg::Reject(format!("serving sweep failed: {e}"));
+                for conn in mine {
+                    let _ = handle.send(conn, &why);
                     handle.close(conn);
                 }
             }
@@ -331,10 +323,10 @@ fn shard_worker(
         stats.sweeps.store(session.sweeps(), Ordering::SeqCst);
         for ob in outs {
             let Party::Client(id) = ob.to else { continue };
-            if let Some((conn, fmt)) = conn_of(ClientId(id)) {
+            if let Some(conn) = conn_of(ClientId(id)) {
                 // Dead conns drop the frame; backpressure closes are
                 // the reactor's call.
-                let _ = handle.send_fmt(conn, &NetMsg::Msg(ob.msg), fmt);
+                let _ = handle.send(conn, &NetMsg::Msg(ob.msg));
             }
         }
         // The queue has room again: retry frames parked on us.

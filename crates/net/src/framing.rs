@@ -1,10 +1,10 @@
 //! The length-prefixed framed codec.
 //!
 //! Every message on a CryptoNN transport is one *frame*: a 4-byte
-//! big-endian payload length followed by the payload — compact JSON
-//! (the seed format) or the binary encoding of `cryptonn-wire`, told
-//! apart by the payload's first byte, so mixed-format peers share one
-//! daemon with no handshake field (DESIGN.md §16). Decoding is
+//! big-endian payload length followed by the payload — the binary
+//! encoding of `cryptonn-wire`, which every sender writes. Readers
+//! still decode the seed JSON, told apart by the payload's first byte
+//! (DESIGN.md §16). Decoding is
 //! defensive — the reader enforces a configurable payload cap *before*
 //! allocating, distinguishes a clean close (EOF at a frame boundary)
 //! from a truncated frame (EOF inside one), and surfaces garbage
@@ -26,15 +26,15 @@ pub const DEFAULT_MAX_FRAME: usize = 64 * 1024 * 1024;
 /// Frame header size on the wire.
 pub const FRAME_HEADER: usize = 4;
 
-/// Encodes `msg` as one frame (header + JSON payload) — the seed
-/// format. Format-negotiating callers use [`encode_frame_fmt`].
+/// Encodes `msg` as one frame (header + binary payload). Only a test
+/// playing a JSON peer needs [`encode_frame_fmt`].
 ///
 /// # Errors
 ///
 /// [`NetError::FrameTooLarge`] if the encoded payload exceeds `max`;
 /// [`NetError::Malformed`] on serializer failure.
 pub fn encode_frame<T: Serialize>(msg: &T, max: usize) -> Result<Vec<u8>, NetError> {
-    encode_frame_fmt(msg, max, WireFormat::Json)
+    encode_frame_fmt(msg, max, WireFormat::Binary)
 }
 
 /// Encodes `msg` as one frame in `format`.
@@ -93,8 +93,8 @@ pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T, max: usize) -> Re
     Ok(())
 }
 
-/// Reads one frame, returning `None` on a clean close (EOF exactly at
-/// a frame boundary).
+/// Reads one frame of either payload format, returning `None` on a
+/// clean close (EOF exactly at a frame boundary).
 ///
 /// # Errors
 ///
@@ -110,20 +110,6 @@ pub fn read_frame<R: Read, T: DeserializeOwned>(
     r: &mut R,
     max: usize,
 ) -> Result<Option<T>, NetError> {
-    Ok(read_frame_sniff(r, max)?.map(|(msg, _)| msg))
-}
-
-/// Like [`read_frame`], also reporting which format the payload
-/// carried — what a mirroring receiver feeds its connection's
-/// [`FormatCell`](cryptonn_wire::FormatCell).
-///
-/// # Errors
-///
-/// As [`read_frame`].
-pub fn read_frame_sniff<R: Read, T: DeserializeOwned>(
-    r: &mut R,
-    max: usize,
-) -> Result<Option<(T, WireFormat)>, NetError> {
     let mut header = [0u8; FRAME_HEADER];
     match read_exact_or_eof(r, &mut header)? {
         Filled::Eof => return Ok(None),
@@ -144,12 +130,11 @@ pub fn read_frame_sniff<R: Read, T: DeserializeOwned>(
         Filled::Eof => return Err(NetError::Truncated { missing: len }),
         Filled::Partial(got) => return Err(NetError::Truncated { missing: len - got }),
     }
-    let format = WireFormat::sniff(&payload);
     // Decoded straight from bytes — the format dispatcher sniffs, the
     // JSON parser validates UTF-8 only where it matters (no
     // whole-payload `from_utf8` pre-pass).
     cryptonn_wire::decode_payload(&payload)
-        .map(|msg| Some((msg, format)))
+        .map(Some)
         .map_err(|e| NetError::Malformed(e.to_string()))
 }
 
@@ -247,26 +232,6 @@ mod tests {
             read_frame::<_, String>(&mut &wire[..2], 1024),
             Err(NetError::Truncated { .. })
         ));
-    }
-
-    #[test]
-    fn binary_frames_roundtrip_and_sniff() {
-        let msg = vec![7u64, 8, 9];
-        let frame = encode_frame_fmt(&msg, DEFAULT_MAX_FRAME, WireFormat::Binary).unwrap();
-        let mut r = &frame[..];
-        let (back, fmt): (Vec<u64>, WireFormat) = read_frame_sniff(&mut r, DEFAULT_MAX_FRAME)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, msg);
-        assert_eq!(fmt, WireFormat::Binary);
-        // JSON frames sniff as JSON on the same reader path.
-        let frame = encode_frame(&msg, DEFAULT_MAX_FRAME).unwrap();
-        let mut r = &frame[..];
-        let (back, fmt): (Vec<u64>, WireFormat) = read_frame_sniff(&mut r, DEFAULT_MAX_FRAME)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, msg);
-        assert_eq!(fmt, WireFormat::Json);
     }
 
     #[test]

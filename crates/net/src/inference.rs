@@ -55,39 +55,7 @@ impl InferenceClient {
         seed: u64,
         max_frame: usize,
     ) -> Result<Self, NetError> {
-        Self::connect_with_wire(
-            addr,
-            session,
-            id,
-            config,
-            seed,
-            max_frame,
-            cryptonn_wire::WireFormat::from_env(),
-        )
-    }
-
-    /// [`connect`](Self::connect) with an explicit wire format instead
-    /// of the `CRYPTONN_WIRE` process default. The format is pinned
-    /// *before* the Hello goes out, so the daemon sees this client's
-    /// dialect from its very first frame and mirrors it on every reply
-    /// — mixed-format client populations against one daemon are just
-    /// different arguments here.
-    ///
-    /// # Errors
-    ///
-    /// As [`connect`](Self::connect).
-    #[allow(clippy::too_many_arguments)]
-    pub fn connect_with_wire(
-        addr: SocketAddr,
-        session: SessionId,
-        id: ClientId,
-        config: &SessionConfig,
-        seed: u64,
-        max_frame: usize,
-        wire: cryptonn_wire::WireFormat,
-    ) -> Result<Self, NetError> {
         let mut transport = TcpTransport::connect(addr, max_frame).map_err(NetError::from)?;
-        transport.set_wire_format(wire);
         transport.send(&NetMsg::Hello(Hello {
             session,
             peer: Peer::Client(id),

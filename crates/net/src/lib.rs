@@ -5,8 +5,9 @@
 //! one key authority — over real sockets.
 //!
 //! - [`framing`] — the length-prefixed codec: 4-byte big-endian length
-//!   plus a serde-JSON payload, with a configurable cap and typed
-//!   rejection of oversized, truncated, and garbage frames.
+//!   plus a binary payload (JSON payloads still decode), with a
+//!   configurable cap and typed rejection of oversized, truncated, and
+//!   garbage frames.
 //! - [`transport`] — [`Transport`]: framed, splittable message pipes,
 //!   implemented by `std::net` TCP ([`TcpTransport`]) and an in-memory
 //!   channel pair ([`mem_pair`]) that moves the same encoded bytes.
@@ -133,13 +134,13 @@ pub use authority::{
 };
 pub use client::{run_client, run_client_resumable};
 pub use codec::{FrameDecoder, OutboundQueue, WriteProgress};
-pub use cryptonn_wire::{FormatCell, WireFormat};
+pub use cryptonn_wire::WireFormat;
 pub use error::NetError;
 pub use fault::{FaultHandle, FaultPlan, FaultyTransport, RandomFaults};
 pub use fleet::{FleetOptions, InferenceFleet};
 pub use framing::{
-    encode_frame, encode_frame_fmt, encode_frame_into, read_frame, read_frame_sniff, write_frame,
-    DEFAULT_MAX_FRAME, FRAME_HEADER,
+    encode_frame, encode_frame_fmt, encode_frame_into, read_frame, write_frame, DEFAULT_MAX_FRAME,
+    FRAME_HEADER,
 };
 pub use inference::{run_inference_client, InferenceClient};
 pub use reactor::{

@@ -57,9 +57,8 @@ use parking_lot::Mutex;
 
 use crate::codec::{FrameDecoder, OutboundQueue, WriteProgress};
 use crate::error::NetError;
-use crate::framing::{encode_frame_fmt, DEFAULT_MAX_FRAME};
+use crate::framing::{encode_frame, DEFAULT_MAX_FRAME};
 use crate::transport::{FrameTx, NetMsg};
-use cryptonn_wire::WireFormat;
 
 // ------------------------------------------------------------ poller
 
@@ -228,7 +227,8 @@ impl ReactorHandle {
         let _ = (&self.inner.waker).write(&[1]);
     }
 
-    /// Encodes `msg` (seed JSON) and queues it on `conn`.
+    /// Encodes `msg` and queues it on `conn`. Encoding happens on the
+    /// calling (worker) thread, off the loop.
     ///
     /// # Errors
     ///
@@ -236,19 +236,7 @@ impl ReactorHandle {
     /// encoding. Delivery itself is asynchronous: a dead `conn` drops
     /// the frame silently (exactly like a socket send racing a close).
     pub fn send(&self, conn: ConnId, msg: &NetMsg) -> Result<(), NetError> {
-        self.send_fmt(conn, msg, WireFormat::Json)
-    }
-
-    /// [`ReactorHandle::send`], encoding in `format` — how a worker
-    /// answers a client in the format it spoke (captured at handshake
-    /// via [`ReactorCtx::peer_format`]). Encoding still happens on the
-    /// worker thread, off the loop.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReactorHandle::send`].
-    pub fn send_fmt(&self, conn: ConnId, msg: &NetMsg, format: WireFormat) -> Result<(), NetError> {
-        let frame = encode_frame_fmt(msg, self.inner.max_frame, format)?;
+        let frame = encode_frame(msg, self.inner.max_frame)?;
         self.push(Command::Send(conn, frame));
         Ok(())
     }
@@ -273,19 +261,10 @@ impl ReactorHandle {
 
     /// A [`FrameTx`] addressing `conn`, so worker code written against
     /// the transport traits can answer reactor clients unchanged.
-    /// Sends seed JSON; format-mirroring apps use
-    /// [`ReactorHandle::conn_tx_fmt`].
     pub fn conn_tx(&self, conn: ConnId) -> ReactorConnTx {
-        self.conn_tx_fmt(conn, WireFormat::Json)
-    }
-
-    /// [`ReactorHandle::conn_tx`] pinned to `format` — the client's
-    /// format as observed at handshake.
-    pub fn conn_tx_fmt(&self, conn: ConnId, format: WireFormat) -> ReactorConnTx {
         ReactorConnTx {
             handle: self.clone(),
             conn,
-            format,
         }
     }
 }
@@ -295,12 +274,11 @@ impl ReactorHandle {
 pub struct ReactorConnTx {
     handle: ReactorHandle,
     conn: ConnId,
-    format: WireFormat,
 }
 
 impl FrameTx for ReactorConnTx {
     fn send(&mut self, msg: &NetMsg) -> Result<(), NetError> {
-        self.handle.send_fmt(self.conn, msg, self.format)
+        self.handle.send(self.conn, msg)
     }
 
     fn close(&mut self) {
@@ -442,22 +420,8 @@ impl ReactorCtx<'_> {
     /// consumer is already being disconnected and the caller should
     /// forget it.
     pub fn send(&mut self, conn: ConnId, msg: &NetMsg) -> Result<(), NetError> {
-        // Mirror the format of the peer's most recent frame, so each
-        // connection on a mixed-format daemon is answered in kind.
-        let format = self.peer_format(conn);
-        let frame = encode_frame_fmt(msg, self.core.opts.max_frame, format)?;
+        let frame = encode_frame(msg, self.core.opts.max_frame)?;
         self.core.send_bytes(conn, frame)
-    }
-
-    /// The wire format of the last frame decoded on `conn` (seed JSON
-    /// until a frame has arrived, or for a dead conn). Apps capture
-    /// this at handshake to address later worker-thread replies with
-    /// [`ReactorHandle::send_fmt`] / [`ReactorHandle::conn_tx_fmt`].
-    pub fn peer_format(&mut self, conn: ConnId) -> WireFormat {
-        self.core
-            .conn_mut(conn)
-            .map(|c| c.decoder.last_format())
-            .unwrap_or_default()
     }
 
     /// Closes `conn` once its queued outbound frames have flushed —

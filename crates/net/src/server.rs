@@ -414,7 +414,7 @@ struct Daemon {
 /// The session daemon's front door as a [`ReactorApp`]: one loop
 /// thread admits and multiplexes every socket, [`create_session`] runs
 /// on a creator thread, session workers ([`session_worker`] /
-/// [`route_outbound`]) answer through [`ReactorHandle::conn_tx_fmt`]
+/// [`route_outbound`]) answer through [`ReactorHandle::conn_tx`]
 /// writers, and a full session queue parks the frame (suspending that
 /// connection's reads) until the worker nudges the loop.
 struct SessionApp {
@@ -640,15 +640,11 @@ impl SessionApp {
                 ctx.close(conn);
                 return;
             }
-            // Pin the writer to the format the client's Hello spoke:
-            // session workers then answer each member of a mixed-format
-            // session in its own dialect.
-            let format = ctx.peer_format(conn);
             conns_l.insert(
                 client,
                 (
                     epoch,
-                    Box::new(self.daemon.handle.conn_tx_fmt(conn, format)) as Box<dyn FrameTx>,
+                    Box::new(self.daemon.handle.conn_tx(conn)) as Box<dyn FrameTx>,
                 ),
             );
             epoch

@@ -9,30 +9,26 @@
 //! in-memory pair moves encoded frames, not Rust values, so every test
 //! over it exercises the exact bytes TCP would carry.
 //!
-//! **Wire-format negotiation** rides on the payloads themselves: each
-//! connection owns a [`FormatCell`] shared by its send and receive
-//! halves; the receiver records the format of every arriving frame
-//! (sniffed by its first byte) and the sender encodes in whatever the
-//! cell holds. A connection *initiator* starts the cell at the process
-//! default ([`WireFormat::from_env`], i.e. `CRYPTONN_WIRE`), so a
-//! binary-opted client speaks binary from its `Hello` on; an
-//! *accepting* side's first send always follows a received `Hello`, so
-//! it mirrors each client per-connection — mixed-format clients on one
-//! daemon, no handshake field (DESIGN.md §16).
+//! **One wire format out, both decoded**: every sender encodes the
+//! binary payload of `cryptonn-wire`; every receiver sniffs each
+//! payload's first byte, so a peer pinned to the seed JSON (through
+//! [`TcpTransport::set_wire_format`]) is still understood. Nothing is
+//! negotiated and nothing mirrors the peer (DESIGN.md §16).
 
+use std::cell::Cell;
 use std::io::BufReader;
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::time::Duration;
 
-use cryptonn_wire::{FormatCell, WireFormat};
+use cryptonn_wire::WireFormat;
 use serde::{Deserialize, Serialize};
 
 use cryptonn_protocol::{ClientId, SessionConfig, SessionId, WireMessage};
 
 use crate::error::NetError;
-use crate::framing::{encode_frame_into, read_frame_sniff, DEFAULT_MAX_FRAME};
+use crate::framing::{encode_frame, encode_frame_into, read_frame, DEFAULT_MAX_FRAME};
 
 /// Who is opening a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -115,17 +111,15 @@ pub struct TcpTransport {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
     max_frame: usize,
-    /// Negotiated wire format, shared across [`Transport::split`].
-    format: FormatCell,
+    /// Outbound payload format: binary unless pinned otherwise.
+    format: Cell<WireFormat>,
     /// Reused encode buffer — one allocation per connection, not per
     /// frame.
     scratch: Vec<u8>,
 }
 
 impl TcpTransport {
-    /// Wraps an accepted or connected stream. The wire format starts
-    /// at the process default (`CRYPTONN_WIRE`) and mirrors the peer
-    /// from the first received frame on.
+    /// Wraps an accepted or connected stream; frames go out binary.
     ///
     /// # Errors
     ///
@@ -137,23 +131,15 @@ impl TcpTransport {
             writer: stream,
             reader,
             max_frame,
-            format: FormatCell::new(WireFormat::from_env()),
+            format: Cell::new(WireFormat::Binary),
             scratch: Vec::new(),
         })
     }
 
-    /// The connection's current wire format (the process default until
-    /// the first frame arrives, the last received frame's format
-    /// after).
-    pub fn wire_format(&self) -> WireFormat {
-        self.format.get()
-    }
-
-    /// Pins this connection's *outbound* format explicitly — the
-    /// per-connection override of the process default. A dialect
-    /// chosen before the first frame goes out governs the whole
-    /// exchange: the peer mirrors whatever it receives, so the reply
-    /// traffic follows automatically.
+    /// Pins this connection's *outbound* format — what a test uses to
+    /// play a peer that still sends the seed JSON. The pin carries
+    /// across [`Transport::split`]; inbound frames of either format
+    /// decode regardless, and the peer answers in binary.
     pub fn set_wire_format(&self, format: WireFormat) {
         self.format.set(format);
     }
@@ -206,16 +192,16 @@ impl TcpTransport {
     }
 }
 
-/// Assembles one frame in the cell's current format into `scratch` and
-/// writes it whole — the shared hot path of both TCP senders.
+/// Assembles one frame in `format` into `scratch` and writes it whole
+/// — the shared hot path of both TCP senders.
 fn send_tcp_frame(
     writer: &mut TcpStream,
     msg: &NetMsg,
     max_frame: usize,
-    format: &FormatCell,
+    format: WireFormat,
     scratch: &mut Vec<u8>,
 ) -> Result<(), NetError> {
-    encode_frame_into(msg, max_frame, format.get(), scratch)?;
+    encode_frame_into(msg, max_frame, format, scratch)?;
     writer.write_all(scratch)?;
     writer.flush()?;
     Ok(())
@@ -227,7 +213,7 @@ impl FrameTx for TcpTransport {
             &mut self.writer,
             msg,
             self.max_frame,
-            &self.format,
+            self.format.get(),
             &mut self.scratch,
         )
     }
@@ -239,13 +225,7 @@ impl FrameTx for TcpTransport {
 
 impl FrameRx for TcpTransport {
     fn recv(&mut self) -> Result<Option<NetMsg>, NetError> {
-        match read_frame_sniff(&mut self.reader, self.max_frame)? {
-            Some((msg, format)) => {
-                self.format.set(format);
-                Ok(Some(msg))
-            }
-            None => Ok(None),
-        }
+        read_frame(&mut self.reader, self.max_frame)
     }
 }
 
@@ -254,13 +234,12 @@ impl Transport for TcpTransport {
         let tx = TcpFrameTx {
             writer: self.writer,
             max_frame: self.max_frame,
-            format: self.format.clone(),
+            format: self.format.get(),
             scratch: self.scratch,
         };
         let rx = TcpFrameRx {
             reader: self.reader,
             max_frame: self.max_frame,
-            format: self.format,
         };
         (Box::new(tx), Box::new(rx))
     }
@@ -269,7 +248,7 @@ impl Transport for TcpTransport {
 struct TcpFrameTx {
     writer: TcpStream,
     max_frame: usize,
-    format: FormatCell,
+    format: WireFormat,
     scratch: Vec<u8>,
 }
 
@@ -279,7 +258,7 @@ impl FrameTx for TcpFrameTx {
             &mut self.writer,
             msg,
             self.max_frame,
-            &self.format,
+            self.format,
             &mut self.scratch,
         )
     }
@@ -292,18 +271,11 @@ impl FrameTx for TcpFrameTx {
 struct TcpFrameRx {
     reader: BufReader<TcpStream>,
     max_frame: usize,
-    format: FormatCell,
 }
 
 impl FrameRx for TcpFrameRx {
     fn recv(&mut self) -> Result<Option<NetMsg>, NetError> {
-        match read_frame_sniff(&mut self.reader, self.max_frame)? {
-            Some((msg, format)) => {
-                self.format.set(format);
-                Ok(Some(msg))
-            }
-            None => Ok(None),
-        }
+        read_frame(&mut self.reader, self.max_frame)
     }
 }
 
@@ -317,7 +289,6 @@ pub struct MemTransport {
     tx: Option<SyncSender<Vec<u8>>>,
     rx: Receiver<Vec<u8>>,
     max_frame: usize,
-    format: FormatCell,
 }
 
 /// Builds a connected in-memory transport pair with the given channel
@@ -331,13 +302,11 @@ pub fn mem_pair(depth: usize, max_frame: usize) -> (MemTransport, MemTransport) 
             tx: Some(a_tx),
             rx: b_rx,
             max_frame,
-            format: FormatCell::new(WireFormat::from_env()),
         },
         MemTransport {
             tx: Some(b_tx),
             rx: a_rx,
             max_frame,
-            format: FormatCell::new(WireFormat::from_env()),
         },
     )
 }
@@ -347,29 +316,12 @@ pub fn mem_pair_default() -> (MemTransport, MemTransport) {
     mem_pair(16, DEFAULT_MAX_FRAME)
 }
 
-fn decode_mem_frame(
-    bytes: &[u8],
-    max_frame: usize,
-    format: &FormatCell,
-) -> Result<Option<NetMsg>, NetError> {
-    let mut cursor = bytes;
-    match read_frame_sniff(&mut cursor, max_frame)? {
-        Some((msg, fmt)) => {
-            format.set(fmt);
-            Ok(Some(msg))
-        }
-        None => Ok(None),
-    }
-}
-
 fn send_mem_frame(
     tx: &Option<SyncSender<Vec<u8>>>,
     msg: &NetMsg,
     max_frame: usize,
-    format: &FormatCell,
 ) -> Result<(), NetError> {
-    let mut frame = Vec::new();
-    encode_frame_into(msg, max_frame, format.get(), &mut frame)?;
+    let frame = encode_frame(msg, max_frame)?;
     match tx {
         Some(tx) => tx.send(frame).map_err(|_| NetError::Disconnected),
         None => Err(NetError::Disconnected),
@@ -378,7 +330,7 @@ fn send_mem_frame(
 
 impl FrameTx for MemTransport {
     fn send(&mut self, msg: &NetMsg) -> Result<(), NetError> {
-        send_mem_frame(&self.tx, msg, self.max_frame, &self.format)
+        send_mem_frame(&self.tx, msg, self.max_frame)
     }
 
     fn close(&mut self) {
@@ -389,7 +341,7 @@ impl FrameTx for MemTransport {
 impl FrameRx for MemTransport {
     fn recv(&mut self) -> Result<Option<NetMsg>, NetError> {
         match self.rx.recv() {
-            Ok(frame) => decode_mem_frame(&frame, self.max_frame, &self.format),
+            Ok(frame) => read_frame(&mut &frame[..], self.max_frame),
             Err(_) => Ok(None), // peer dropped: clean close
         }
     }
@@ -400,12 +352,10 @@ impl Transport for MemTransport {
         let tx = MemFrameTx {
             tx: self.tx,
             max_frame: self.max_frame,
-            format: self.format.clone(),
         };
         let rx = MemFrameRx {
             rx: self.rx,
             max_frame: self.max_frame,
-            format: self.format,
         };
         (Box::new(tx), Box::new(rx))
     }
@@ -414,12 +364,11 @@ impl Transport for MemTransport {
 struct MemFrameTx {
     tx: Option<SyncSender<Vec<u8>>>,
     max_frame: usize,
-    format: FormatCell,
 }
 
 impl FrameTx for MemFrameTx {
     fn send(&mut self, msg: &NetMsg) -> Result<(), NetError> {
-        send_mem_frame(&self.tx, msg, self.max_frame, &self.format)
+        send_mem_frame(&self.tx, msg, self.max_frame)
     }
 
     fn close(&mut self) {
@@ -430,13 +379,12 @@ impl FrameTx for MemFrameTx {
 struct MemFrameRx {
     rx: Receiver<Vec<u8>>,
     max_frame: usize,
-    format: FormatCell,
 }
 
 impl FrameRx for MemFrameRx {
     fn recv(&mut self) -> Result<Option<NetMsg>, NetError> {
         match self.rx.recv() {
-            Ok(frame) => decode_mem_frame(&frame, self.max_frame, &self.format),
+            Ok(frame) => read_frame(&mut &frame[..], self.max_frame),
             Err(_) => Ok(None),
         }
     }

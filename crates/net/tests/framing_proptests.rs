@@ -1,16 +1,15 @@
 //! Fuzz-style properties of the framed codec: frames must survive
 //! arbitrary byte-boundary splits (a TCP stream owes no alignment),
 //! and every malformed input class must come back as its typed error,
-//! never a panic or a hang. Every property runs over both wire
-//! formats — seed JSON and the binary codec — including mixed-format
-//! streams on one connection, which the sniffing reader must tell
-//! apart frame by frame.
+//! never a panic or a hang. Every property runs over both payload
+//! formats the reader decodes — the binary codec every sender writes
+//! and the seed JSON — including mixed-format streams on one
+//! connection, which the sniffing reader must tell apart frame by
+//! frame.
 
 use proptest::prelude::*;
 
-use cryptonn_net::{
-    encode_frame_fmt, read_frame, read_frame_sniff, NetMsg, WireFormat, DEFAULT_MAX_FRAME,
-};
+use cryptonn_net::{encode_frame_fmt, read_frame, NetMsg, WireFormat, DEFAULT_MAX_FRAME};
 use cryptonn_protocol::{ClientId, EpochBarrier, ModelDelta, TrainingStart, WireMessage};
 
 /// A reader that hands out the underlying bytes in chunks whose sizes
@@ -84,8 +83,7 @@ fn mixed_stream(msgs: Vec<NetMsg>, coins: &[bool]) -> Vec<(NetMsg, WireFormat)> 
 
 proptest! {
     /// Any mixed-format frame sequence, split at any byte boundaries,
-    /// decodes back to the original messages — with each frame's
-    /// format correctly sniffed — followed by a clean EOF.
+    /// decodes back to the original messages, followed by a clean EOF.
     #[test]
     fn frames_survive_arbitrary_splits(
         raw in proptest::collection::vec(msg_strategy(), 1..6),
@@ -99,10 +97,11 @@ proptest! {
         }
         let mut reader = ChoppyReader { data: wire, pos: 0, cuts, next_cut: 0 };
         let mut decoded = Vec::new();
-        while let Some(pair) = read_frame_sniff::<_, NetMsg>(&mut reader, DEFAULT_MAX_FRAME).unwrap() {
-            decoded.push(pair);
+        while let Some(msg) = read_frame::<_, NetMsg>(&mut reader, DEFAULT_MAX_FRAME).unwrap() {
+            decoded.push(msg);
         }
-        prop_assert_eq!(decoded, msgs);
+        let sent: Vec<NetMsg> = msgs.into_iter().map(|(msg, _)| msg).collect();
+        prop_assert_eq!(decoded, sent);
     }
 
     /// Truncating a frame stream at any interior byte yields a typed

@@ -17,8 +17,7 @@ use cryptonn_data::clinic_dataset;
 use cryptonn_matrix::Matrix;
 use cryptonn_net::{
     run_inference_client, AuthorityConnector, AuthorityOptions, AuthorityServer, FleetOptions,
-    InferenceClient, InferenceFleet, LocalAuthority, NetError, RemoteAuthority, WireFormat,
-    DEFAULT_MAX_FRAME,
+    InferenceClient, InferenceFleet, LocalAuthority, NetError, RemoteAuthority, DEFAULT_MAX_FRAME,
 };
 use cryptonn_protocol::{
     mlp_session_config, AuthoritySession, ClientId, InferenceOptions, MlpSpec, SessionConfig,
@@ -95,9 +94,7 @@ fn inputs_for(seed: usize, n: usize, dim: usize) -> Vec<Matrix<f64>> {
 /// bit for bit, across several concurrent pipelined clients — with
 /// coalescing and the key cache on, and with both off (window 1, a
 /// zero-capacity cache: every request its own sweep, its keys
-/// re-derived through the authority). One client always speaks the
-/// other wire dialect, so each daemon serves a mixed json/binary
-/// population.
+/// re-derived through the authority).
 #[test]
 fn served_predictions_are_bit_identical_to_in_process() {
     let data = clinic_dataset(16, 71);
@@ -113,11 +110,6 @@ fn served_predictions_are_bit_identical_to_in_process() {
         max_batch: 1,
         key_cache: 0,
     };
-    let other_dialect = match WireFormat::from_env() {
-        WireFormat::Json => WireFormat::Binary,
-        WireFormat::Binary => WireFormat::Json,
-    };
-
     for (shards, options) in shard_counts()
         .into_iter()
         .flat_map(|shards| [(shards, cache_on), (shards, cache_off)])
@@ -133,8 +125,7 @@ fn served_predictions_are_bit_identical_to_in_process() {
         let addr = fleet.local_addr();
 
         // Concurrent clients, each with its own inputs and seed: the
-        // first two pipelined in the process-default dialect, the last
-        // synchronous in the other one.
+        // first two pipelined, the last synchronous.
         let clients = 3usize;
         let per_client = 4usize;
         let handles: Vec<_> = (0..clients)
@@ -147,16 +138,15 @@ fn served_predictions_are_bit_identical_to_in_process() {
                         run_inference_client(addr, session, id, &config, seed, &inputs, 2)
                             .expect("serving completes")
                     } else {
-                        let mut client = InferenceClient::connect_with_wire(
+                        let mut client = InferenceClient::connect(
                             addr,
                             session,
                             id,
                             &config,
                             seed,
                             DEFAULT_MAX_FRAME,
-                            other_dialect,
                         )
-                        .expect("other-dialect client connects");
+                        .expect("synchronous client connects");
                         inputs
                             .iter()
                             .map(|x| client.predict(x).expect("prediction"))

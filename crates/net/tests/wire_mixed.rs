@@ -1,9 +1,8 @@
-//! Mixed-format client populations on one daemon (DESIGN.md §16.3):
-//! the per-connection format mirror must let a JSON client and a
-//! binary client train side by side in the *same* session — and the
-//! resulting model must be bit-identical to an all-JSON run of the
-//! same configuration. The CI matrix runs this file as the dedicated
-//! mixed-format arm alongside the `CRYPTONN_WIRE=binary` suite runs.
+//! A peer that still sends JSON on one daemon (DESIGN.md §16.2): every
+//! receiver decodes both payload formats, so a client pinned to JSON
+//! trains beside a binary client in the *same* session — and the
+//! resulting model must be bit-identical to an all-binary run of the
+//! same configuration.
 
 use std::sync::Arc;
 
@@ -73,9 +72,8 @@ fn mixed_format_clients_train_bit_identically() {
     .unwrap();
     let addr = server.local_addr();
 
-    let all_json = train_session(addr, SessionId(1), |_| WireFormat::Json);
-    let all_binary = train_session(addr, SessionId(2), |_| WireFormat::Binary);
-    let mixed = train_session(addr, SessionId(3), |i| {
+    let all_binary = train_session(addr, SessionId(1), |_| WireFormat::Binary);
+    let mixed = train_session(addr, SessionId(2), |i| {
         if i % 2 == 0 {
             WireFormat::Binary
         } else {
@@ -84,12 +82,8 @@ fn mixed_format_clients_train_bit_identically() {
     });
 
     assert_eq!(
-        all_binary, all_json,
-        "an all-binary session must train bit-identically to all-JSON"
-    );
-    assert_eq!(
-        mixed, all_json,
-        "a mixed-dialect session must train bit-identically to all-JSON"
+        mixed, all_binary,
+        "a session with one JSON client must train bit-identically to all-binary"
     );
 
     server.shutdown();

@@ -485,16 +485,6 @@ impl ClientSession {
         }
     }
 
-    /// Replaces the credit window (clamped to at least one batch in
-    /// flight). A window of 1 is strict lockstep; the default of
-    /// [`DEFAULT_CLIENT_WINDOW`] double-buffers encryption against
-    /// training. The trained weights are bit-identical for every
-    /// window.
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window.max(1);
-        self
-    }
-
     /// This client's id.
     pub fn id(&self) -> ClientId {
         self.id
@@ -503,11 +493,6 @@ impl ClientSession {
     /// Number of batches in this client's shard.
     pub fn shard_len(&self) -> usize {
         self.shard.len()
-    }
-
-    /// True once the session summary arrived.
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// True once every scheduled local batch has been emitted.
@@ -963,13 +948,6 @@ impl ServerSession {
         })
     }
 
-    /// Replaces the reorder-buffer capacity (clamped to at least one
-    /// buffered batch).
-    pub fn with_reorder_cap(mut self, cap: usize) -> Self {
-        self.reorder_cap = cap.max(1);
-        self
-    }
-
     /// Backs the model's BSGS table cache with an on-disk directory so
     /// a restarted server with the same group parameters warm-starts
     /// its tables instead of rebuilding them.
@@ -1002,20 +980,6 @@ impl ServerSession {
             ServerModel::Mlp(m) => Some(m),
             ServerModel::Cnn(_) => None,
         }
-    }
-
-    /// Mutable access to the trained CNN.
-    pub fn cnn_mut(&mut self) -> Option<&mut CryptoCnn> {
-        match &mut self.model {
-            ServerModel::Cnn(m) => Some(m),
-            ServerModel::Mlp(_) => None,
-        }
-    }
-
-    /// Consumes the session, returning the trained model — the frozen
-    /// artifact an [`InferenceSession`](crate::InferenceSession) serves.
-    pub fn into_model(self) -> ServerModel {
-        self.model
     }
 
     /// Consumes the session, returning the trained MLP if this session

@@ -348,6 +348,49 @@ fn binary_encrypted_batch_is_smaller_at_bits256() {
     );
 }
 
+/// Narrow integers keep every binary key-traffic frame at or below its
+/// JSON text at the paper's MNIST dimension: the one batched request
+/// for all 784 unit keys (values 0 and 1), a 16-row first-layer weight
+/// request (fixed-point weights with `|w| ≤ 200`), and the public
+/// parameters (raw group-element bytes against hex strings).
+#[test]
+fn binary_key_traffic_is_no_larger_than_json_at_dim_784() {
+    let dim = 784;
+    let sizes = |msg: &WireMessage| {
+        let json = serde_json::to_vec(msg).unwrap().len();
+        let bin = cryptonn_wire::to_vec(msg).unwrap().len();
+        (bin, json)
+    };
+    let units: Vec<Vec<i64>> = (0..dim)
+        .map(|j| (0..dim).map(|i| i64::from(i == j)).collect())
+        .collect();
+    // Spread over -200..=200 by a stride coprime to 401.
+    let w1: Vec<Vec<i64>> = (0..16)
+        .map(|r| {
+            (0..dim)
+                .map(|i| ((r * dim + i) * 7919 % 401) as i64 - 200)
+                .collect()
+        })
+        .collect();
+    for (what, ys) in [("unit-key", units), ("W1-row", w1)] {
+        let msg = WireMessage::KeyRequest(KeyRequest::Feip(FeipKeysRequest { dim, ys }));
+        let (bin, json) = sizes(&msg);
+        assert!(
+            bin <= json,
+            "{what} request: binary {bin} B > JSON {json} B"
+        );
+    }
+    let auth = authority();
+    let params = WireMessage::PublicParams(PublicParams {
+        x_mpk: KeyAuthority::feip_public_key(auth, dim),
+        y_mpk: KeyAuthority::feip_public_key(auth, 10),
+        febo_mpk: KeyAuthority::febo_public_key(auth),
+        fp: FixedPoint::TWO_DECIMALS,
+    });
+    let (bin, json) = sizes(&params);
+    assert!(bin < json, "public params: binary {bin} B >= JSON {json} B");
+}
+
 /// The binary twin of [`wire_alphabet_is_frozen`]: the binary codec's
 /// bytes are pinned at the same granularity — one full frame payload
 /// byte-for-byte, plus the envelope prefix (magic, version, outer map,
@@ -360,15 +403,14 @@ fn binary_wire_fixture_is_frozen() {
     let msg = WireMessage::Epoch(EpochBarrier { epoch: 1 });
     let bytes = cryptonn_wire::to_vec(&msg).unwrap();
     let mut expect = vec![
-        0xb1, 0x01, // magic, version
+        0xb1, 0x02, // magic, version
         0x0a, 1, 0, 0, 0, // map, 1 entry
         0x06, 5, 0, 0, 0, // inline str, 5 bytes
     ];
     expect.extend_from_slice(b"Epoch");
     expect.extend_from_slice(&[0x0a, 1, 0, 0, 0, 0x06, 5, 0, 0, 0]);
     expect.extend_from_slice(b"epoch");
-    expect.push(0x04); // u64
-    expect.extend_from_slice(&1u64.to_le_bytes());
+    expect.push(0x21); // u64 1, carried in the tag byte
     assert_eq!(bytes, expect, "binary Epoch frame drifted");
     let back: WireMessage = cryptonn_wire::from_slice(&bytes).unwrap();
     assert_eq!(back, msg);
@@ -393,7 +435,7 @@ fn binary_wire_fixture_is_frozen() {
         ),
     ] {
         let bytes = cryptonn_wire::to_vec(&msg).unwrap();
-        let mut envelope = vec![0xb1, 0x01, 0x0a, 1, 0, 0, 0, 0x06];
+        let mut envelope = vec![0xb1, 0x02, 0x0a, 1, 0, 0, 0, 0x06];
         envelope.extend_from_slice(&(tag.len() as u32).to_le_bytes());
         envelope.extend_from_slice(tag.as_bytes());
         assert!(

@@ -1,17 +1,21 @@
 //! The binary wire codec (DESIGN.md §16).
 //!
-//! Every CryptoNN frame payload is one serde [`Value`] tree. The seed
-//! encoding is compact JSON; this crate adds a bincode-shaped binary
-//! encoding of the same tree — fixed-width little-endian integers,
-//! length-prefixed strings and sequences, varint-free — plus the
-//! negotiation machinery that lets both formats coexist on one daemon:
+//! Every CryptoNN frame payload is one serde [`Value`] tree, and every
+//! sender encodes it with this crate's bincode-shaped binary encoding:
+//! width-tagged little-endian integers, length-prefixed strings and
+//! sequences, varint-free. The seed JSON encoding stays decodable:
 //!
 //! - **Self-identifying payloads.** A binary payload starts with
 //!   [`BINARY_MAGIC`] (`0xB1`), a byte that can never begin a JSON
 //!   document (it is a UTF-8 continuation byte, and JSON starts with
-//!   ASCII). Every frame is sniffed with [`WireFormat::sniff`]; no
-//!   handshake change, and a daemon handles mixed-format clients
-//!   per-connection.
+//!   ASCII). [`decode_payload`] sniffs every payload with
+//!   [`WireFormat::sniff`], so a peer that still sends JSON is
+//!   understood without any handshake field.
+//! - **Narrow integers.** An integer is written under a tag that names
+//!   its width — the narrowest of 1, 2, 4 or 8 bytes — and values in
+//!   `-32..=31` (signed) or `0..=31` (unsigned) ride in the tag byte
+//!   itself, so a frame of small weights is never larger than its JSON
+//!   text. The tag names the width; there are no continuation bits.
 //! - **Raw limb bytes.** Group elements serialize as [`Value::Bytes`]
 //!   (minimal little-endian limbs). JSON renders them as the legacy
 //!   hex strings; the binary encoding carries the raw bytes — the
@@ -26,15 +30,8 @@
 //!   against the remaining input *before* allocation, nesting depth is
 //!   bounded, and every failure is a typed [`WireError`] — hostile
 //!   bytes can fail a connection, never panic or balloon a process.
-//!
-//! The format selector [`WireFormat::from_env`] reads `CRYPTONN_WIRE`
-//! (`binary` opts in; anything else keeps the seed JSON).
-//! [`FormatCell`] carries the per-connection negotiated format between
-//! split transport halves.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
 
 use serde::de::DeserializeOwned;
 use serde::{Serialize, Value};
@@ -47,8 +44,9 @@ pub const BINARY_MAGIC: u8 = 0xB1;
 
 /// Second byte of every binary payload: the encoding version. Bumped
 /// only for incompatible changes; decoders refuse versions they do not
-/// know instead of misreading them.
-pub const BINARY_VERSION: u8 = 0x01;
+/// know instead of misreading them. Version 2 added the narrow integer
+/// tags.
+pub const BINARY_VERSION: u8 = 0x02;
 
 /// Nesting bound while decoding — hostile deeply-nested input fails
 /// with a typed error instead of overflowing the stack. Real payloads
@@ -83,28 +81,39 @@ const TAG_MAP: u8 = 0x0a;
 /// varint: which form applies is named by the tag, never by
 /// continuation bits.
 const TAG_BYTES8: u8 = 0x0b;
+/// Integers narrower than eight bytes: the tag names the width (1, 2
+/// or 4 little-endian bytes follow), and the decoder widens back to the
+/// same [`Value`] variant. `TAG_I64` / `TAG_U64` are the 8-byte forms.
+const TAG_I8: u8 = 0x0c;
+const TAG_I16: u8 = 0x0d;
+const TAG_I32: u8 = 0x0e;
+const TAG_U8: u8 = 0x0f;
+const TAG_U16: u8 = 0x10;
+const TAG_U32: u8 = 0x11;
+/// Tiny integers live in the tag byte itself: `TAG_TINY_U + n` for an
+/// unsigned `n` in `0..=31`, `TAG_TINY_I + 32 + n` for a signed `n` in
+/// `-32..=31`. Without them a one-byte value costs two bytes — as much
+/// as its JSON digit and comma — and the four-byte sequence count
+/// would leave a row of unit weights larger than its JSON text.
+const TAG_TINY_U: u8 = 0x20;
+const TAG_TINY_U_LAST: u8 = 0x3f;
+const TAG_TINY_I: u8 = 0x40;
+const TAG_TINY_I_LAST: u8 = 0x7f;
+const TINY_U_MAX: u64 = 31;
+const TINY_I_MIN: i64 = -32;
+const TINY_I_MAX: i64 = 31;
 
 /// Which encoding a frame payload carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireFormat {
-    /// Compact JSON text (the seed encoding; always understood).
-    #[default]
+    /// Compact JSON text (the seed encoding; still decoded, no longer
+    /// sent by any connection).
     Json,
     /// The binary value encoding defined by this crate.
     Binary,
 }
 
 impl WireFormat {
-    /// Resolves the process-default format from the `CRYPTONN_WIRE`
-    /// environment variable: `binary` opts into the binary codec,
-    /// anything else — including unset — keeps the seed JSON.
-    pub fn from_env() -> Self {
-        match std::env::var("CRYPTONN_WIRE").as_deref() {
-            Ok("binary") => WireFormat::Binary,
-            _ => WireFormat::Json,
-        }
-    }
-
     /// Names the format a payload carries by its first byte. Empty
     /// payloads sniff as JSON (and will fail JSON decoding with a
     /// proper error).
@@ -113,50 +122,6 @@ impl WireFormat {
             Some(&BINARY_MAGIC) => WireFormat::Binary,
             _ => WireFormat::Json,
         }
-    }
-}
-
-/// The per-connection negotiated format, shared between the send and
-/// receive halves of a split transport: the receive half records the
-/// format of each arriving payload, the send half encodes replies the
-/// same way — so a daemon mirrors whatever each client speaks without
-/// any handshake field.
-#[derive(Debug, Clone)]
-pub struct FormatCell(Arc<AtomicU8>);
-
-impl FormatCell {
-    /// A cell starting at `initial` (the connection initiator's
-    /// preference; a server side typically starts at the process
-    /// default and is corrected by the first inbound frame).
-    pub fn new(initial: WireFormat) -> Self {
-        let cell = Self(Arc::new(AtomicU8::new(0)));
-        cell.set(initial);
-        cell
-    }
-
-    /// The current format.
-    pub fn get(&self) -> WireFormat {
-        match self.0.load(Ordering::Relaxed) {
-            1 => WireFormat::Binary,
-            _ => WireFormat::Json,
-        }
-    }
-
-    /// Records a format (called by the receive half per frame).
-    pub fn set(&self, fmt: WireFormat) {
-        self.0.store(
-            match fmt {
-                WireFormat::Json => 0,
-                WireFormat::Binary => 1,
-            },
-            Ordering::Relaxed,
-        );
-    }
-}
-
-impl Default for FormatCell {
-    fn default() -> Self {
-        Self::new(WireFormat::default())
     }
 }
 
@@ -227,6 +192,44 @@ fn encode_str(
     Ok(())
 }
 
+/// Writes a signed integer in the narrowest form that holds it.
+fn encode_i64(n: i64, out: &mut Vec<u8>) {
+    if (TINY_I_MIN..=TINY_I_MAX).contains(&n) {
+        out.push(TAG_TINY_I + (n - TINY_I_MIN) as u8);
+    } else if let Ok(n) = i8::try_from(n) {
+        out.push(TAG_I8);
+        out.extend_from_slice(&n.to_le_bytes());
+    } else if let Ok(n) = i16::try_from(n) {
+        out.push(TAG_I16);
+        out.extend_from_slice(&n.to_le_bytes());
+    } else if let Ok(n) = i32::try_from(n) {
+        out.push(TAG_I32);
+        out.extend_from_slice(&n.to_le_bytes());
+    } else {
+        out.push(TAG_I64);
+        out.extend_from_slice(&n.to_le_bytes());
+    }
+}
+
+/// Writes an unsigned integer in the narrowest form that holds it.
+fn encode_u64(n: u64, out: &mut Vec<u8>) {
+    if n <= TINY_U_MAX {
+        out.push(TAG_TINY_U + n as u8);
+    } else if let Ok(n) = u8::try_from(n) {
+        out.push(TAG_U8);
+        out.push(n);
+    } else if let Ok(n) = u16::try_from(n) {
+        out.push(TAG_U16);
+        out.extend_from_slice(&n.to_le_bytes());
+    } else if let Ok(n) = u32::try_from(n) {
+        out.push(TAG_U32);
+        out.extend_from_slice(&n.to_le_bytes());
+    } else {
+        out.push(TAG_U64);
+        out.extend_from_slice(&n.to_le_bytes());
+    }
+}
+
 fn encode_value(
     v: &Value,
     out: &mut Vec<u8>,
@@ -236,14 +239,8 @@ fn encode_value(
         Value::Null => out.push(TAG_NULL),
         Value::Bool(false) => out.push(TAG_FALSE),
         Value::Bool(true) => out.push(TAG_TRUE),
-        Value::I64(n) => {
-            out.push(TAG_I64);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::U64(n) => {
-            out.push(TAG_U64);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
+        Value::I64(n) => encode_i64(*n, out),
+        Value::U64(n) => encode_u64(*n, out),
         Value::F64(f) => {
             if !f.is_finite() {
                 return Err(WireError("cannot encode non-finite float".into()));
@@ -366,16 +363,14 @@ impl Decoder<'_> {
         Ok(s)
     }
 
-    fn take_u64(&mut self, what: &str) -> Result<u64, WireError> {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(self.take(8, what)?);
-        Ok(u64::from_le_bytes(buf))
+    fn take_array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], WireError> {
+        let mut buf = [0u8; N];
+        buf.copy_from_slice(self.take(N, what)?);
+        Ok(buf)
     }
 
     fn take_len(&mut self, what: &str) -> Result<usize, WireError> {
-        let mut buf = [0u8; 4];
-        buf.copy_from_slice(self.take(4, what)?);
-        Ok(u32::from_le_bytes(buf) as usize)
+        Ok(self.take_array(what).map(u32::from_le_bytes)? as usize)
     }
 
     fn take_str(&mut self, tag: u8) -> Result<String, WireError> {
@@ -415,10 +410,18 @@ impl Decoder<'_> {
             TAG_NULL => Value::Null,
             TAG_FALSE => Value::Bool(false),
             TAG_TRUE => Value::Bool(true),
-            TAG_I64 => Value::I64(self.take_u64("i64")? as i64),
-            TAG_U64 => Value::U64(self.take_u64("u64")?),
+            TAG_TINY_U..=TAG_TINY_U_LAST => Value::U64(u64::from(tag - TAG_TINY_U)),
+            TAG_TINY_I..=TAG_TINY_I_LAST => Value::I64(i64::from(tag - TAG_TINY_I) + TINY_I_MIN),
+            TAG_I8 => Value::I64(self.take_array("i8").map(i8::from_le_bytes)?.into()),
+            TAG_I16 => Value::I64(self.take_array("i16").map(i16::from_le_bytes)?.into()),
+            TAG_I32 => Value::I64(self.take_array("i32").map(i32::from_le_bytes)?.into()),
+            TAG_I64 => Value::I64(self.take_array("i64").map(i64::from_le_bytes)?),
+            TAG_U8 => Value::U64(self.take_byte("u8")?.into()),
+            TAG_U16 => Value::U64(self.take_array("u16").map(u16::from_le_bytes)?.into()),
+            TAG_U32 => Value::U64(self.take_array("u32").map(u32::from_le_bytes)?.into()),
+            TAG_U64 => Value::U64(self.take_array("u64").map(u64::from_le_bytes)?),
             TAG_F64 => {
-                let f = f64::from_bits(self.take_u64("f64")?);
+                let f = f64::from_le_bytes(self.take_array("f64")?);
                 if !f.is_finite() {
                     return Err(WireError("non-finite float on the wire".into()));
                 }
@@ -529,6 +532,61 @@ mod tests {
     }
 
     #[test]
+    fn integers_take_the_narrowest_width_and_keep_their_variant() {
+        // (value, encoded length after magic and version).
+        let signed = [
+            (0, 1),
+            (1, 1),
+            (-1, 1),
+            (TINY_I_MIN, 1),
+            (TINY_I_MAX, 1),
+            (TINY_I_MIN - 1, 2),
+            (TINY_I_MAX + 1, 2),
+            (i64::from(i8::MIN), 2),
+            (i64::from(i8::MAX), 2),
+            (i64::from(i8::MIN) - 1, 3),
+            (i64::from(i8::MAX) + 1, 3),
+            (i64::from(i16::MIN), 3),
+            (i64::from(i16::MAX), 3),
+            (i64::from(i16::MIN) - 1, 5),
+            (i64::from(i16::MAX) + 1, 5),
+            (i64::from(i32::MIN), 5),
+            (i64::from(i32::MAX), 5),
+            (i64::from(i32::MIN) - 1, 9),
+            (i64::from(i32::MAX) + 1, 9),
+            (i64::MIN, 9),
+            (i64::MAX, 9),
+        ];
+        for (n, len) in signed {
+            let bytes = to_vec(&Value::I64(n)).unwrap();
+            assert_eq!(bytes.len(), 2 + len, "I64({n})");
+            assert_eq!(parse_payload(&bytes).unwrap(), Value::I64(n));
+        }
+        let unsigned = [
+            (0, 1),
+            (1, 1),
+            (TINY_U_MAX, 1),
+            (TINY_U_MAX + 1, 2),
+            (u64::from(u8::MAX), 2),
+            (u64::from(u8::MAX) + 1, 3),
+            (u64::from(u16::MAX), 3),
+            (u64::from(u16::MAX) + 1, 5),
+            (u64::from(u32::MAX), 5),
+            (u64::from(u32::MAX) + 1, 9),
+            (u64::MAX, 9),
+        ];
+        for (n, len) in unsigned {
+            let bytes = to_vec(&Value::U64(n)).unwrap();
+            assert_eq!(bytes.len(), 2 + len, "U64({n})");
+            assert_eq!(parse_payload(&bytes).unwrap(), Value::U64(n));
+        }
+        // Truncated narrow forms fail typed.
+        for tag in [TAG_I16, TAG_I32, TAG_U16, TAG_U32] {
+            assert!(parse_payload(&[BINARY_MAGIC, BINARY_VERSION, tag, 1]).is_err());
+        }
+    }
+
+    #[test]
     fn interning_compresses_repeated_keys() {
         let row = Value::Map(vec![
             ("commitment".into(), Value::U64(1)),
@@ -538,9 +596,10 @@ mod tests {
         let bytes = to_vec(&seq).unwrap();
         // Without interning every row would pay both inline keys
         // (tag + u32 length + contents); with it, only the first row
-        // does and later rows pay 5-byte references.
-        let inline_row = 5 + (5 + 10 + 9) + (5 + 5 + 9);
-        let ref_row = 5 + (5 + 9) + (5 + 9);
+        // does and later rows pay 5-byte references. The values are
+        // tiny integers: one tag byte each.
+        let inline_row = 5 + (5 + 10 + 1) + (5 + 5 + 1);
+        let ref_row = 5 + (5 + 1) + (5 + 1);
         assert_eq!(bytes.len(), 2 + 5 + inline_row + 63 * ref_row);
         assert!(bytes.len() < 2 + 5 + 64 * inline_row);
         assert_eq!(parse_payload(&bytes).unwrap(), seq);
@@ -577,8 +636,10 @@ mod tests {
 
     #[test]
     fn hostile_inputs_fail_typed() {
-        // Unknown version.
+        // Unknown version, and the retired version 1 (fixed 8-byte
+        // integers), which would misread the narrow tags.
         assert!(parse_payload(&[BINARY_MAGIC, 0x7f, TAG_NULL]).is_err());
+        assert!(parse_payload(&[BINARY_MAGIC, 0x01, TAG_NULL]).is_err());
         // Truncated fixed-width field.
         assert!(parse_payload(&[BINARY_MAGIC, BINARY_VERSION, TAG_U64, 1, 2]).is_err());
         // Length prefix past the input — refused before allocation.
@@ -596,7 +657,7 @@ mod tests {
         // Trailing bytes.
         assert!(parse_payload(&[BINARY_MAGIC, BINARY_VERSION, TAG_NULL, 0]).is_err());
         // Unknown tag.
-        assert!(parse_payload(&[BINARY_MAGIC, BINARY_VERSION, 0x6f]).is_err());
+        assert!(parse_payload(&[BINARY_MAGIC, BINARY_VERSION, 0xf0]).is_err());
     }
 
     #[test]
@@ -608,15 +669,6 @@ mod tests {
         }
         bytes.push(TAG_NULL);
         assert!(parse_payload(&bytes).is_err());
-    }
-
-    #[test]
-    fn format_cell_mirrors() {
-        let cell = FormatCell::new(WireFormat::Json);
-        assert_eq!(cell.get(), WireFormat::Json);
-        let peer = cell.clone();
-        peer.set(WireFormat::Binary);
-        assert_eq!(cell.get(), WireFormat::Binary);
     }
 
     #[test]
