@@ -59,6 +59,14 @@ impl EncryptedBatch {
         self.classes
     }
 
+    /// The batch's declared largest |quantized feature|. It comes off
+    /// the wire unchecked and sizes the server's discrete-log search,
+    /// so a serving layer bounds it before queuing the batch (see
+    /// [`CryptoMlp::predict_bound`](crate::CryptoMlp::predict_bound)).
+    pub fn max_abs_x(&self) -> u64 {
+        self.max_abs_x
+    }
+
     /// The encrypted label matrix (`classes × batch`) if this batch was
     /// encrypted for training; `None` for prediction batches.
     pub fn labels(&self) -> Option<&EncryptedMatrix> {

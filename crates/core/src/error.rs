@@ -29,6 +29,15 @@ pub enum CryptoNnError {
     /// or infinite — the model has diverged. Quantizing it would turn
     /// NaN into a zero gradient and ±∞ into a saturated one.
     NonFiniteDelta,
+    /// A secure step needs a discrete-log table above the cap
+    /// ([`MAX_DLOG_BOUND`](crate::MAX_DLOG_BOUND)) — the bound follows
+    /// the batch's `max_abs_x`, which a peer chooses.
+    DlogBoundTooLarge {
+        /// The bound the step would need.
+        bound: u64,
+        /// The largest bound a table is built for.
+        max: u64,
+    },
     /// The model contains a layer that cannot be captured into (or
     /// restored from) a checkpoint snapshot.
     SnapshotUnsupported {
@@ -55,6 +64,9 @@ impl fmt::Display for CryptoNnError {
             }
             CryptoNnError::NonFiniteDelta => {
                 write!(f, "gradient delta is NaN or infinite (diverged model)")
+            }
+            CryptoNnError::DlogBoundTooLarge { bound, max } => {
+                write!(f, "discrete-log bound {bound} exceeds the cap {max}")
             }
             CryptoNnError::Smc(e) => write!(f, "secure computation failed: {e}"),
             CryptoNnError::Fe(e) => write!(f, "functional encryption failed: {e}"),

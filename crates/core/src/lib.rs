@@ -82,4 +82,4 @@ pub use cnn::CryptoCnn;
 pub use config::CryptoNnConfig;
 pub use error::CryptoNnError;
 pub use mlp::{CryptoMlp, LayerSnapshot, MlpSnapshot, Objective, StepOutput};
-pub use tables::DlogTableCache;
+pub use tables::{DlogTableCache, MAX_DLOG_BOUND};

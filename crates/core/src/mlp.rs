@@ -363,7 +363,10 @@ impl CryptoMlp {
     /// # Errors
     ///
     /// Propagates secure-computation failures; shape mismatches name
-    /// the offending batch's feature dimension.
+    /// the offending batch's feature dimension;
+    /// [`CryptoNnError::DlogBoundTooLarge`] if any batch's `max_abs_x`
+    /// makes [`predict_bound`](Self::predict_bound) exceed
+    /// [`MAX_DLOG_BOUND`](crate::MAX_DLOG_BOUND).
     pub fn predict_encrypted_many<A: KeyService + ?Sized>(
         &mut self,
         authority: &A,
@@ -390,10 +393,7 @@ impl CryptoMlp {
         let wq = fp.encode_matrix(&self.first.weights().transpose());
         let keys = cryptonn_smc::derive_dot_keys(authority, &wq)?;
         let mpk = authority.feip_public_key(n)?;
-        let bound = (n as u64)
-            .saturating_mul(max_abs_x)
-            .saturating_mul(crate::secure_steps::max_abs_q(&wq));
-        let table = self.cache.table(bound);
+        let table = self.cache.table(self.predict_bound(max_abs_x))?;
 
         let encs: Vec<&cryptonn_smc::EncryptedMatrix> = batches.iter().map(|b| &b.x).collect();
         let zqs = cryptonn_smc::secure_dot_multi(
@@ -414,6 +414,17 @@ impl CryptoMlp {
                 Ok(self.predictions(&out))
             })
             .collect()
+    }
+
+    /// The dlog bound the secure first-layer product needs for batches
+    /// whose largest |quantized feature| is `max_abs_x`:
+    /// `in_dim · max_abs_x · max|Wq|`, saturating — what training and
+    /// [`predict_encrypted_many`](Self::predict_encrypted_many) size
+    /// their table by. A serving layer compares it with
+    /// [`MAX_DLOG_BOUND`](crate::MAX_DLOG_BOUND) to refuse a request
+    /// before it joins a coalesced sweep.
+    pub fn predict_bound(&self, max_abs_x: u64) -> u64 {
+        crate::secure_steps::dense_bound(&self.first, self.config.fp, max_abs_x)
     }
 
     /// Plaintext forward pass — used by the evaluation harness to score
@@ -502,6 +513,39 @@ mod tests {
             .first
             .weights()
             .approx_eq(plain.first.weights(), 0.05));
+    }
+
+    /// A training batch whose peer-declared `max_abs_x` sizes the dlog
+    /// search past the cap — saturating to `u64::MAX`, or 2⁴⁰ — fails
+    /// the step with a typed error before any table is built, leaves
+    /// the weights alone, and an honest batch still trains afterwards.
+    #[test]
+    fn oversized_dlog_bound_fails_the_step_typed() {
+        let config = CryptoNnConfig::fast();
+        let auth = authority(&config);
+        let mut rng = StdRng::seed_from_u64(45);
+        let mut model =
+            CryptoMlp::new(4, &[5], 2, Objective::SoftmaxCrossEntropy, config, &mut rng);
+        let x = Matrix::from_fn(4, 4, |r, c| ((r + c) % 5) as f64 / 5.0);
+        let y = one_hot(&[0, 1, 1, 0], 2);
+        let mut client = Client::for_mlp(&auth, 4, 2, config.fp, 46);
+        let batch = client.encrypt_batch(&x, &y).unwrap();
+        let weights = model.first.weights().clone();
+        for max_abs_x in [u64::MAX, 1 << 40] {
+            let mut bad = batch.clone();
+            bad.max_abs_x = max_abs_x;
+            let err = model.train_encrypted_batch(&auth, &bad, 0.5).unwrap_err();
+            assert_eq!(
+                err,
+                CryptoNnError::DlogBoundTooLarge {
+                    bound: model.predict_bound(max_abs_x),
+                    max: crate::MAX_DLOG_BOUND,
+                }
+            );
+            assert_eq!(model.first.weights(), &weights);
+            assert_eq!(model.cache.current_bound(), None, "no table was built");
+        }
+        assert!(model.train_encrypted_batch(&auth, &batch, 0.5).is_ok());
     }
 
     #[test]

@@ -38,6 +38,23 @@ pub(crate) fn max_abs_q(m: &Matrix<i64>) -> u64 {
         .max(1)
 }
 
+/// The dlog bound a secure product of `layer`'s weights against
+/// batches whose largest |quantized feature| is `max_abs_x` needs:
+/// `in_dim · max_abs_x · max|Wq|`, saturating. Quantizing is monotone
+/// and odd-symmetric in the weight, so the largest |quantized weight|
+/// is the quantized largest |weight| — no quantized copy of the matrix.
+pub(crate) fn dense_bound(layer: &Dense, fp: FixedPoint, max_abs_x: u64) -> u64 {
+    let max_w = layer
+        .weights()
+        .as_slice()
+        .iter()
+        .fold(0.0f64, |a, &w| a.max(w.abs()));
+    let max_q = fp.encode(max_w).unsigned_abs().max(1);
+    (layer.in_dim() as u64)
+        .saturating_mul(max_abs_x)
+        .saturating_mul(max_q)
+}
+
 /// Derives FEIP keys for all `dim` unit vectors — used to read the
 /// coordinates of the δ-weighted combinations that make up the secure
 /// gradient. The trainer caches the result across iterations.
@@ -68,6 +85,8 @@ pub fn derive_unit_keys<A: KeyService + ?Sized>(
 ///
 /// Propagates secure-computation failures; a `DlogOutOfRange` inside
 /// means the bound bookkeeping was violated (a bug, not a user error).
+/// [`CryptoNnError::DlogBoundTooLarge`] if the batch's declared
+/// `max_abs_x` sizes the search past [`crate::MAX_DLOG_BOUND`].
 pub fn secure_dense_forward<A: KeyService + ?Sized>(
     authority: &A,
     cache: &mut DlogTableCache,
@@ -84,12 +103,9 @@ pub fn secure_dense_forward<A: KeyService + ?Sized>(
             what: "feature dimension",
         });
     }
+    let table = cache.table(dense_bound(layer, fp, batch.max_abs_x))?;
     // Server operand: quantized Wᵀ (out × in), one row per neuron.
     let wq = fp.encode_matrix(&layer.weights().transpose());
-    let bound = (n as u64)
-        .saturating_mul(batch.max_abs_x)
-        .saturating_mul(max_abs_q(&wq));
-    let table = cache.table(bound);
 
     let keys = derive_dot_keys(authority, &wq)?;
     let mpk = authority.feip_public_key(n)?;
@@ -127,7 +143,7 @@ pub fn secure_output_delta<A: KeyService + ?Sized>(
     let pq = fp.encode_matrix(&p.transpose());
     let scale = fp.scale() as u64;
     let bound = scale.saturating_add(max_abs_q(&pq)).saturating_mul(2);
-    let table = cache.table(bound);
+    let table = cache.table(bound)?;
 
     let keys = derive_elementwise_keys(authority, enc_y, BasicOp::Sub, &pq)?;
     let febo_mpk = authority.febo_public_key()?;
@@ -176,7 +192,7 @@ pub fn secure_cross_entropy_loss<A: KeyService + ?Sized>(
     let bound = (classes as u64)
         .saturating_mul(scale)
         .saturating_mul(max_abs_q(&lq));
-    let table = cache.table(bound);
+    let table = cache.table(bound)?;
 
     // One key per sample (each sample has its own p′ vector), requested
     // as a single batch so a wire-backed authority sees one message.
@@ -261,7 +277,7 @@ pub fn secure_dense_weight_grad<A: KeyService + ?Sized>(
     let bound = (m as u64)
         .saturating_mul(max_abs_q(&dq))
         .saturating_mul(batch.max_abs_x);
-    let table = cache.table(bound);
+    let table = cache.table(bound)?;
     let mpk = authority.feip_public_key(n)?;
     let column_refs: Vec<&FeipCiphertext> = batch.x.feip_columns()?.iter().collect();
     let delta_rows: Vec<&[i64]> = dq.iter_rows().collect();
@@ -310,7 +326,7 @@ pub fn secure_conv_forward<A: KeyService + ?Sized>(
     let bound = (dim as u64)
         .saturating_mul(batch.max_abs_x)
         .saturating_mul(max_abs_q(&wq));
-    let table = cache.table(bound);
+    let table = cache.table(bound)?;
 
     let keys = derive_filter_keys(authority, &wq)?;
     let mpk = authority.feip_public_key(dim)?;
@@ -370,7 +386,7 @@ pub fn secure_conv_weight_grad<A: KeyService + ?Sized>(
     let bound = (windows.len() as u64)
         .saturating_mul(max_abs_q(&gq))
         .saturating_mul(batch.max_abs_x);
-    let table = cache.table(bound);
+    let table = cache.table(bound)?;
 
     let mpk = authority.feip_public_key(dim)?;
     let window_refs: Vec<&FeipCiphertext> = windows.iter().collect();

@@ -374,6 +374,31 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A file persisted under another baby-step rule — here the
+    /// `⌈√(2B+1)⌉` sizing, 1 449 steps at 2²⁰ where the rule now takes
+    /// 8 193 — is a miss: reloading it would cost 5.7× the giant steps
+    /// per solve. `load_or_build` rebuilds at the rule's geometry and
+    /// overwrites the file.
+    #[test]
+    fn stale_geometry_is_rejected_and_rewritten() {
+        let dir = scratch_dir("geometry");
+        let group = SchnorrGroup::precomputed(SecurityLevel::Bits64);
+        let bound = 1u64 << 20;
+        let stale = DlogTable::with_baby_steps(&group, bound, 1_449);
+        store_dlog(&dir, &group, &stale).unwrap();
+        assert!(load_dlog(&dir, &group, bound).is_none());
+
+        let table = DlogTable::load_or_build(&group, bound, &dir);
+        assert_eq!(table.cache_parts().0, 8_193);
+        let rewritten = load_dlog(&dir, &group, bound).expect("file rewritten");
+        assert_eq!(rewritten.cache_parts().0, 8_193);
+        for z in [-(bound as i64), -8_194, 0, 8_193, bound as i64] {
+            let target = group.exp(&group.scalar_from_i64(z));
+            assert_eq!(rewritten.solve(&group, &target), Ok(z));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn corruption_is_rejected() {
         let dir = scratch_dir("corrupt");

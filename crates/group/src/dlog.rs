@@ -7,6 +7,17 @@
 //! precomputed table ([`DlogTable`]) because in Algorithm 1 the server
 //! performs thousands of recoveries against the same generator.
 //!
+//! BSGS is a time–memory trade-off: with `m` baby steps a value `|z|`
+//! costs `⌈|z|/m⌉` giant steps. `m = ⌈√(2B+1)⌉` balances build and
+//! search for a *single* solve, but one table serves thousands of solves
+//! (12 544 per training step for the gradient `δ·Xᵀ` at 784-16), so the
+//! table is sized toward `range/256` instead — no solve walks more than
+//! 128 giant rounds per direction — within a fixed budget of 2¹⁶ baby
+//! steps; above the budget it falls back to `√range` (DESIGN.md
+//! §13.3). The geometry is a pure function of
+//! the bound, so every decrypted value is the same exact integer
+//! whatever `m` is.
+//!
 //! The giant-step loop is the single hottest multiply chain of the whole
 //! decrypt path (DESIGN.md §13.3), so the table lives entirely in the
 //! **Montgomery domain**: baby keys are truncated Montgomery residues,
@@ -41,6 +52,33 @@ use crate::group::{Element, SchnorrGroup};
 /// 2^33`, so `u64::MAX` can never be a real entry.
 const EMPTY: u64 = u64::MAX;
 
+/// Baby-step budget: a table grows toward `range/256` only while it
+/// stays within this many entries (2 MiB of [`FlatBabyMap`] slots).
+const BABY_BUDGET: u64 = 1 << 16;
+
+/// Giant rounds per direction a table sized within the budget walks at
+/// most: the `256` in `range/256`.
+const GIANT_SPAN: u128 = 256;
+
+/// The baby-step count `m` of every table at signed bound `B`:
+/// `max(⌈√(2B+1)⌉, min(⌈(2B+1)/256⌉, 2¹⁶))`.
+///
+/// `√range` minimises the cost of one solve, but a table is built once
+/// and solved against thousands of times, so it is grown toward
+/// `range/256` — no solve walks more than 128 giant rounds per direction
+/// — as long as that fits the budget. Above the budget `√range` already
+/// exceeds it and stays. One deterministic rule, shared by
+/// [`DlogTable::new`] and the cache loader, so a table persisted under
+/// any other geometry is rejected and rebuilt.
+pub(crate) fn baby_steps(bound: u64) -> u64 {
+    let range = 2 * u128::from(bound) + 1;
+    let root = range.isqrt();
+    let sqrt_ceil = if root * root == range { root } else { root + 1 };
+    let toward_span = range.div_ceil(GIANT_SPAN).min(u128::from(BABY_BUDGET));
+    // `range ≤ 2^65`, so the root fits in 33 bits.
+    sqrt_ceil.max(toward_span) as u64
+}
+
 /// An open-addressing flat hash table `truncated key → baby index`,
 /// replacing the seed's `HashMap`: power-of-two capacity at ≤ ⅔ load,
 /// Fibonacci hashing, linear probing. Lookups sit on the giant-step hot
@@ -52,11 +90,14 @@ const EMPTY: u64 = u64::MAX;
 /// `Vec<(u64, u64)>`, for two reasons. Giant-step probes are almost
 /// all misses, and a miss only inspects the index array — split, it
 /// packs twice as many slots per cache line as interleaved pairs
-/// would. And each array stays under glibc's 128 KiB mmap threshold
-/// for every realistic bound, so warm-start table loads reuse malloc
-/// arena pages instead of paying a fresh `mmap` plus first-touch page
-/// faults on every start (measured at 30–60 µs per load — comparable
-/// to the entire rest of the warm path).
+/// would. Up to 2¹³ slots — bounds through 2¹⁹ after the table cache's
+/// power-of-two rounding — each array stays under glibc's default
+/// 128 KiB mmap threshold, so warm-start table loads reuse malloc arena
+/// pages instead of paying a fresh `mmap` plus first-touch page faults
+/// (measured at 30–60 µs per load). Larger tables cross it and pay
+/// those faults on each load: the 784-wide serving model's 2²⁰ table
+/// has 2¹⁴ slots, and training's 2²³ gradient table 2¹⁷ slots, 1 MiB
+/// per array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FlatBabyMap {
     /// Truncated keys; meaningful only where `idx[i] != EMPTY`.
@@ -71,11 +112,12 @@ impl FlatBabyMap {
     /// An empty map sized for `entries` insertions at ≤ ⅔ load.
     ///
     /// The sizing target is 1.5× the entry count rounded up to a power
-    /// of two, not 2×: BSGS baby counts are `⌈√(2B+1)⌉` and the table
-    /// cache rounds bounds to powers of two, so `entries` lands *just
-    /// above* a power of two — a 2× target would round the capacity up
-    /// twice (to 0.25 load), doubling both the map's cache footprint on
-    /// the giant-step hot loop and the persisted cache file's bitmap.
+    /// of two, not 2×: the table cache rounds bounds to powers of two,
+    /// and every term of the baby-step rule (`⌈√(2B+1)⌉`,
+    /// `⌈(2B+1)/256⌉`, the 2¹⁶ budget) then lands *at or just above* a
+    /// power of two — a 2× target would round the capacity up twice (to
+    /// 0.25 load), doubling both the map's cache footprint on the
+    /// giant-step hot loop and the persisted cache file's bitmap.
     fn with_capacity(entries: u64) -> Self {
         let cap = (entries.max(1) as usize)
             .saturating_mul(3)
@@ -216,7 +258,7 @@ impl FlatBabyMap {
 /// one bit instead of 16 bytes nearly halves the cache file — which
 /// the warm start pays for directly in read, checksum, and parse
 /// traffic. Unpacking stays re-hash-free: a sequential scatter guided
-/// by the bitmap, not `√B` fresh inserts.
+/// by the bitmap, not `m` fresh inserts.
 pub(crate) struct PackedSlots {
     /// Total slot count (a power of two ≥ 2).
     pub(crate) cap: u64,
@@ -230,9 +272,11 @@ pub(crate) struct PackedSlots {
 /// A precomputed baby-step table for solving `g^z = target` with
 /// `z ∈ [-bound, bound]` (signed) or `z ∈ [0, bound]` (unsigned).
 ///
-/// Construction costs `O(√B)` group operations and the same amount of
-/// memory; each [`solve`](DlogTable::solve) costs `O(√B)` multiplications
-/// worst-case.
+/// Construction costs `m` group operations and `m` entries of memory,
+/// where `m` is `⌈(2B+1)/256⌉` capped at 2¹⁶ and never below
+/// `⌈√(2B+1)⌉`; each [`solve`](DlogTable::solve) of a value `z` costs
+/// `⌈|z|/m⌉` two-multiply rounds — at most 128 while the table fits the
+/// budget (`B ≤ 2²³`), `O(√B)` above it.
 ///
 /// The baby-step map is keyed on the *low 64 bits of the Montgomery
 /// residue* of each element through a flat open-addressed map, not on full 256-bit
@@ -262,7 +306,8 @@ pub struct DlogTable {
     /// `g^{-m}` in Montgomery form — the positive-direction giant
     /// factor.
     giant_mont: U256,
-    /// Baby-step count `m = ⌈√(2B+1)⌉`.
+    /// Baby-step count `m`, from the bound by `baby_steps`:
+    /// `max(⌈√(2B+1)⌉, min(⌈(2B+1)/256⌉, 2¹⁶))`.
     m: u64,
     /// The signed bound `B`.
     bound: u64,
@@ -275,10 +320,15 @@ impl DlogTable {
     ///
     /// Panics if `bound` is zero.
     pub fn new(group: &SchnorrGroup, bound: u64) -> Self {
+        Self::with_baby_steps(group, bound, baby_steps(bound))
+    }
+
+    /// [`DlogTable::new`] at an explicit baby-step count `m` — every
+    /// production table takes `baby_steps(bound)`; tests build other
+    /// geometries to check that the cache loader rejects them.
+    pub(crate) fn with_baby_steps(group: &SchnorrGroup, bound: u64, m: u64) -> Self {
         assert!(bound > 0, "dlog bound must be positive");
         let ctx = group.mont_p();
-        let range = 2 * bound + 1;
-        let m = (range as f64).sqrt().ceil() as u64;
         let g_mont = ctx.to_mont(group.generator().value());
         // acc = mont(g^j); one mont_mul per baby step. The truncated
         // keys are collected in insertion order — this chain is the
@@ -546,7 +596,11 @@ impl DlogTable {
 
     /// Rebuilds a table from cached parts. Returns `None` on malformed
     /// geometry — the cache layer treats that as corruption and falls
-    /// back to a fresh build.
+    /// back to a fresh build. That includes a baby-step count other than
+    /// `baby_steps(bound)` (a table persisted under an older sizing
+    /// rule would reload at that rule's giant-step cost), and baby
+    /// entries plus collisions not accounting for exactly `m` steps (a
+    /// missing step makes values in range unsolvable).
     pub(crate) fn from_cache_parts(
         m: u64,
         bound: u64,
@@ -555,7 +609,10 @@ impl DlogTable {
         packed_baby: PackedSlots,
         collisions: Vec<(u64, u64)>,
     ) -> Option<Self> {
-        if bound == 0 || m == 0 {
+        if bound == 0
+            || m != baby_steps(bound)
+            || (packed_baby.occupied.len() + collisions.len()) as u64 != m
+        {
             return None;
         }
         let baby = FlatBabyMap::from_packed(packed_baby)?;
@@ -724,8 +781,9 @@ mod tests {
 
     #[test]
     fn truncation_collision_side_list_is_consulted() {
-        // Real low-64-bit collisions among `√(2B)` baby steps are a
-        // ~2⁻⁴⁴-per-table event, so fabricate one: evict the baby-map
+        // Real low-64-bit collisions among `m` baby steps are a
+        // ~m²·2⁻⁶⁵-per-table event (2⁻³³ at the 2¹⁶ budget), so
+        // fabricate one: evict the baby-map
         // entry for `j2`'s truncated key and repoint it at a different
         // index, exactly the state `new` leaves behind when a later
         // baby step collides with an earlier one (first entry wins, the
@@ -733,8 +791,9 @@ mod tests {
         // verification against the squatter and fall through to the
         // side list — still recovering the exact exponent.
         let g = group();
-        let bound = 10_000;
+        let bound = 1 << 20;
         let mut table = DlogTable::new(&g, bound);
+        assert_eq!(table.m, 8_193, "fixture runs at the range/256 geometry");
         let ctx = g.mont_p();
         let j2 = table.m / 2;
         let j1 = j2 + 1; // squatter with a different true key
@@ -817,6 +876,24 @@ mod tests {
         });
         // A pair carrying the vacancy sentinel.
         reject(&|p| p.occupied[0].1 = u64::MAX);
+        // Entries not accounting for exactly `m` baby steps: one step
+        // missing (its bit cleared, so the packed form itself is
+        // consistent) …
+        reject(&|p| {
+            let w = p.bitmap.iter().rposition(|&w| w != 0).unwrap();
+            p.bitmap[w] &= !(1 << (63 - p.bitmap[w].leading_zeros()));
+            p.occupied.pop();
+        });
+        // … or a spurious collision entry.
+        let (m, bound, up, giant, packed, _) = table.cache_parts();
+        assert!(DlogTable::from_cache_parts(m, bound, *up, *giant, packed, vec![(7, 0)]).is_none());
+        // A geometry other than the rule's, even if self-consistent.
+        let other = DlogTable::with_baby_steps(&g, 7_500, m + 1);
+        let (m, bound, up, giant, packed, collisions) = other.cache_parts();
+        assert!(
+            DlogTable::from_cache_parts(m, bound, *up, *giant, packed, collisions.to_vec())
+                .is_none()
+        );
         // A set bit at or above the capacity (shrink cap so the bitmap
         // has out-of-range bits while keeping its length consistent).
         let small = DlogTable::new(&g, 40);
@@ -824,6 +901,113 @@ mod tests {
         assert!(packed.cap < 64, "fixture assumes a sub-word bitmap");
         packed.bitmap[0] |= 1 << (packed.cap + 1);
         assert!(DlogTable::from_cache_parts(m, bound, *up, *giant, packed, vec![]).is_none());
+    }
+
+    /// The rule at the bounds the workloads actually build: training's
+    /// gradient table grows 16×, serving's 5.7×, and the convolution
+    /// gradient's 2³¹ table is already past the budget and keeps
+    /// `⌈√(2B+1)⌉`.
+    #[test]
+    fn baby_steps_at_the_workload_bounds() {
+        assert_eq!(baby_steps(1 << 23), 65_536);
+        assert_eq!(baby_steps(1 << 20), 8_193);
+        assert_eq!(baby_steps(1 << 31), 65_537);
+        // Small bounds keep √range: range/256 is smaller there.
+        assert_eq!(baby_steps(1), 2);
+        assert_eq!(baby_steps(5_000), 101);
+        // Saturated bounds do not overflow the rule.
+        assert_eq!(baby_steps(u64::MAX), 6_074_001_000);
+    }
+
+    /// A generic (non-Montgomery-friendly) 256-bit safe-prime group, so
+    /// the `Reducer::Generic` arm walks giant steps too.
+    fn generic_group() -> SchnorrGroup {
+        SchnorrGroup::from_params(
+            U256::from_hex("a504130456d8cce0af73fd190c683b02148b6371a703ba4bac786a772db736af")
+                .unwrap(),
+            U256::from_hex("528209822b6c667057b9fe8c86341d810a45b1b8d381dd25d63c353b96db9b57")
+                .unwrap(),
+            U256::from_u64(4),
+            &mut StdRng::seed_from_u64(0),
+        )
+        .unwrap()
+    }
+
+    /// `⌈√n⌉`, computed independently of `baby_steps`.
+    fn ceil_sqrt(n: u128) -> u128 {
+        let mut s = (n as f64).sqrt() as u128;
+        while s * s < n {
+            s += 1;
+        }
+        while s > 0 && (s - 1) * (s - 1) >= n {
+            s -= 1;
+        }
+        s
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        /// For bounds spread log-uniformly over `[1, 2³²]`, at every
+        /// reducer arm: the geometry obeys the rule's envelope, `solve`
+        /// and `solve_batch` both return the true `z` at zero, at `±B`,
+        /// next to multiples of `m` and at random points, and both
+        /// refuse `±(B+1)`.
+        #[test]
+        fn baby_step_rule_and_every_solver_agree(
+            log2 in 0u32..32,
+            raw in proptest::prelude::any::<u64>(),
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 4),
+        ) {
+            let bound = (1u64 << log2) | (raw & ((1u64 << log2) - 1));
+            let range = 2 * u128::from(bound) + 1;
+            let root = ceil_sqrt(range);
+            let m = baby_steps(bound);
+            proptest::prop_assert!(u128::from(m) >= root, "B={} m={}", bound, m);
+            proptest::prop_assert!(u128::from(m) <= root.max(1 << 16), "B={} m={}", bound, m);
+            if range.div_ceil(256) <= 1 << 16 {
+                proptest::prop_assert!(bound / m <= 128, "B={} m={}", bound, m);
+            }
+
+            let b = bound as i64;
+            let mi = m as i64;
+            let mut zs = vec![0, b, -b];
+            for k in [1i64, 2] {
+                for d in [-1i64, 0, 1] {
+                    zs.extend([k * mi + d, -(k * mi + d)]);
+                }
+            }
+            zs.extend(picks.iter().map(|&p| (p % (2 * bound + 1)) as i64 - b));
+            zs.retain(|z| z.unsigned_abs() <= bound);
+            let outside = [b + 1, -(b + 1)];
+
+            for g in [
+                SchnorrGroup::precomputed(SecurityLevel::Bits64),
+                SchnorrGroup::precomputed(SecurityLevel::Bits256Fast),
+                generic_group(),
+            ] {
+                let table = DlogTable::new(&g, bound);
+                proptest::prop_assert_eq!(table.m, m);
+                let targets: Vec<Element> =
+                    zs.iter().map(|&z| g.exp(&g.scalar_from_i64(z))).collect();
+                let batch = table.solve_batch(&g, &targets);
+                for ((&z, t), got) in zs.iter().zip(&targets).zip(&batch) {
+                    proptest::prop_assert_eq!(table.solve(&g, t), Ok(z));
+                    proptest::prop_assert_eq!(*got, Ok(z));
+                }
+                let refused = Err(GroupError::DlogOutOfRange { bound });
+                let targets: Vec<Element> =
+                    outside.iter().map(|&z| g.exp(&g.scalar_from_i64(z))).collect();
+                for t in &targets {
+                    proptest::prop_assert_eq!(table.solve(&g, t), refused.clone());
+                }
+                // Padded past the lane width so the batch kernel runs.
+                let padded: Vec<Element> = targets.iter().cycle().take(LANES + 1).cloned().collect();
+                for got in table.solve_batch(&g, &padded) {
+                    proptest::prop_assert_eq!(got, refused.clone());
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use cryptonn_core::{CryptoMlp, CryptoNnError};
+use cryptonn_core::{CryptoMlp, CryptoNnError, MAX_DLOG_BOUND};
 use cryptonn_fe::{CachingKeyService, KeyCacheStats};
 
 use crate::error::ProtocolError;
@@ -177,8 +177,10 @@ impl InferenceSession {
     ///
     /// # Errors
     ///
-    /// - [`ProtocolError::Training`] (a shape mismatch) if the
-    ///   request's feature dimension does not match the served model —
+    /// - [`ProtocolError::Training`] if the request's feature dimension
+    ///   does not match the served model (a shape mismatch) or its
+    ///   declared `max_abs_x` would need a discrete-log table above
+    ///   [`MAX_DLOG_BOUND`] ([`CryptoNnError::DlogBoundTooLarge`]) —
     ///   rejected *before* queuing, so one malformed request never
     ///   poisons a coalesced sweep carrying other clients' work;
     /// - [`ProtocolError::Unexpected`] for message kinds the serving
@@ -196,6 +198,13 @@ impl InferenceSession {
                         expected,
                         got: req.batch.feature_dim(),
                         what: "feature dimension",
+                    }));
+                }
+                let bound = self.model.predict_bound(req.batch.max_abs_x());
+                if bound > MAX_DLOG_BOUND {
+                    return Err(ProtocolError::Training(CryptoNnError::DlogBoundTooLarge {
+                        bound,
+                        max: MAX_DLOG_BOUND,
                     }));
                 }
                 self.pending.push_back((from, req.clone()));
@@ -490,6 +499,51 @@ mod tests {
         assert!(matches!(err, ProtocolError::Training(_)));
         assert_eq!(session.pending(), 1, "queued work untouched");
         assert_eq!(session.flush().unwrap().len(), 1);
+    }
+
+    /// A request whose declared `max_abs_x` sizes the dlog search past
+    /// the cap — saturating to `u64::MAX`, or 2⁴⁰ — is refused with a
+    /// typed error before queuing, and the other client's request in
+    /// the same window is still served.
+    #[test]
+    fn oversized_dlog_bound_rejected_without_poisoning_the_window() {
+        let (mut session, mut client, _, _) = serving_setup(InferenceOptions {
+            max_batch: 4,
+            key_cache: 64,
+        });
+        session
+            .handle_message(
+                ClientId(0),
+                &WireMessage::Predict(request(&mut client, 0, 1)),
+            )
+            .unwrap();
+        for max_abs_x in [u64::MAX, 1 << 40] {
+            // The bound is public metadata a peer writes on the wire.
+            let honest = request(&mut client, 9, 1);
+            let json = serde_json::to_string(&honest.batch).unwrap();
+            let field = format!("\"max_abs_x\":{}", honest.batch.max_abs_x());
+            assert!(json.contains(&field), "fixture: {json:.200}");
+            let forged = json.replace(&field, &format!("\"max_abs_x\":{max_abs_x}"));
+            let bad = PredictRequest {
+                id: 9,
+                batch: serde_json::from_str(&forged).unwrap(),
+            };
+            assert_eq!(bad.batch.max_abs_x(), max_abs_x);
+            let err = session
+                .handle_message(ClientId(1), &WireMessage::Predict(bad))
+                .unwrap_err();
+            let ProtocolError::Training(CryptoNnError::DlogBoundTooLarge { bound, max }) = err
+            else {
+                panic!("expected DlogBoundTooLarge, got {err:?}");
+            };
+            assert_eq!(max, MAX_DLOG_BOUND);
+            assert_eq!(bound, session.model().predict_bound(max_abs_x));
+            assert!(bound > max);
+        }
+        assert_eq!(session.pending(), 1, "queued work untouched");
+        let out = session.flush().unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].to, Party::Client(0));
     }
 
     /// The serving role consumes nothing but predict requests.
