@@ -91,8 +91,7 @@ pub fn mod_pow(base: &U256, exp: &U256, m: &U256) -> U256 {
 ///
 /// This is the pre-Montgomery generic path, kept for even moduli and as
 /// the reference implementation the Montgomery path is property-tested
-/// against (and benchmarked against in `cryptonn-bench`'s
-/// `ablation_exponentiation`).
+/// against.
 ///
 /// # Panics
 ///

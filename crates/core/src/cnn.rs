@@ -65,7 +65,7 @@ impl CryptoCnn {
     }
 
     /// A scaled-down CryptoCNN over 1×14×14 inputs for fast tests and
-    /// CI benches (topology mirrors `cryptonn_nn::lenet_small`).
+    /// the `train_cnn` benchmark (topology mirrors `cryptonn_nn::lenet_small`).
     pub fn lenet_small<R: Rng + ?Sized>(
         config: CryptoNnConfig,
         classes: usize,

@@ -8,8 +8,7 @@ use cryptonn_smc::{FixedPoint, Parallelism};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CryptoNnConfig {
     /// The group security level (the paper evaluates at 256 bits; tests
-    /// and CI benches use smaller groups — same algorithms, faster
-    /// arithmetic).
+    /// use a smaller group — same algorithms, faster arithmetic).
     pub level: SecurityLevel,
     /// Quantization for data, labels and weights (paper: two decimals).
     pub fp: FixedPoint,
@@ -31,7 +30,7 @@ impl CryptoNnConfig {
         }
     }
 
-    /// A fast setting for tests and CI benches: 64-bit group, otherwise
+    /// A fast setting for tests: 64-bit group, otherwise
     /// identical pipeline.
     pub fn fast() -> Self {
         Self {

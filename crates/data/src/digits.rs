@@ -84,7 +84,7 @@ impl DigitConfig {
         }
     }
 
-    /// A small 14×14 variant for fast tests and CI benches.
+    /// A small 14×14 variant for fast tests.
     pub fn small() -> Self {
         Self {
             size: 14,

@@ -499,9 +499,8 @@ pub fn decrypt_ratio(
 }
 
 /// The pre-multi-scalar reference decryption: one full-width
-/// exponentiation per nonzero `yᵢ`. Kept public as the baseline arm of
-/// the decrypt ablation bench and the equivalence property tests;
-/// production callers use [`decrypt_raw`].
+/// exponentiation per nonzero `yᵢ`. Kept public as the oracle of the
+/// equivalence property tests; production callers use [`decrypt_raw`].
 ///
 /// # Errors
 ///
@@ -535,23 +534,6 @@ pub fn decrypt_raw_naive(
     };
     let denom = group.pow(&ct.ct0, &sk.sk);
     Ok(group.div(&num, &denom))
-}
-
-/// Reference `Decrypt` on top of [`decrypt_raw_naive`] — the "naive" arm
-/// of the decrypt ablations.
-///
-/// # Errors
-///
-/// As [`decrypt`].
-pub fn decrypt_naive(
-    mpk: &FeipPublicKey,
-    ct: &FeipCiphertext,
-    sk: &FeipFunctionKey,
-    y: &[i64],
-    table: &DlogTable,
-) -> Result<i64, FeError> {
-    let raw = decrypt_raw_naive(mpk, ct, sk, y)?;
-    Ok(table.solve(&mpk.group, &raw)?)
 }
 
 /// How many reuses of one fixed base justify building a comb table for
@@ -1150,14 +1132,15 @@ mod tests {
             for (r, row) in rows.iter().enumerate() {
                 // Element-level identity (before the dlog), then the
                 // recovered integer against the naive arm.
+                let naive = decrypt_raw_naive(&mpk, ct, &keys[r], row).unwrap();
                 assert_eq!(
                     decrypt_raw(&mpk, ct, &keys[r], row).unwrap(),
-                    decrypt_raw_naive(&mpk, ct, &keys[r], row).unwrap(),
+                    naive,
                     "raw element for cell ({c},{r})"
                 );
                 assert_eq!(
                     got[c * rows.len() + r],
-                    decrypt_naive(&mpk, ct, &keys[r], row, &table).unwrap(),
+                    table.solve(mpk.group(), &naive).unwrap(),
                     "cell ({c},{r})"
                 );
             }

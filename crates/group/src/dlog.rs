@@ -627,34 +627,15 @@ impl DlogTable {
     }
 }
 
-/// One-shot signed BSGS without table reuse. Prefer [`DlogTable`] when
-/// solving more than once against the same group.
+/// Exhaustive-search discrete log for tiny ranges: the oracle BSGS is
+/// cross-checked against.
 ///
 /// # Errors
 ///
 /// Returns [`GroupError::DlogOutOfRange`] if no exponent in
 /// `[-bound, bound]` matches.
-///
-/// # Panics
-///
-/// Panics if `bound` is zero.
-pub fn solve_dlog(group: &SchnorrGroup, target: &Element, bound: u64) -> Result<i64, GroupError> {
-    DlogTable::new(group, bound).solve(group, target)
-}
-
-/// Exhaustive-search discrete log for tiny ranges; used to cross-check
-/// BSGS in tests and for one-off recoveries where building a table is
-/// not worth it.
-///
-/// # Errors
-///
-/// Returns [`GroupError::DlogOutOfRange`] if no exponent in
-/// `[-bound, bound]` matches.
-pub fn solve_dlog_naive(
-    group: &SchnorrGroup,
-    target: &Element,
-    bound: u64,
-) -> Result<i64, GroupError> {
+#[cfg(test)]
+fn solve_dlog_naive(group: &SchnorrGroup, target: &Element, bound: u64) -> Result<i64, GroupError> {
     let g = group.generator();
     let mut pos = group.identity();
     let mut neg = group.identity();
@@ -752,7 +733,7 @@ mod tests {
     fn one_shot_helper() {
         let g = group();
         let target = g.exp(&g.scalar_from_i64(-99));
-        assert_eq!(solve_dlog(&g, &target, 100), Ok(-99));
+        assert_eq!(DlogTable::new(&g, 100).solve(&g, &target), Ok(-99));
     }
 
     #[test]

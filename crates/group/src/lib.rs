@@ -54,7 +54,7 @@ mod group;
 mod multi_scalar;
 
 pub use cryptonn_bigint::lanes::LANES;
-pub use dlog::{solve_dlog, solve_dlog_naive, DlogTable};
+pub use dlog::DlogTable;
 pub use error::GroupError;
 pub use fixed_base::FixedBaseTable;
 pub use group::{Element, Scalar, SchnorrGroup, SecurityLevel};

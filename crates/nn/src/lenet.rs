@@ -47,7 +47,7 @@ pub fn lenet5<R: Rng + ?Sized>(rng: &mut R) -> Sequential {
     net
 }
 
-/// A scaled-down LeNet for fast tests and CI benches: same topology, a
+/// A scaled-down LeNet for fast tests and the benchmark: same topology, a
 /// quarter of the filters, `1×14×14` inputs.
 pub fn lenet_small<R: Rng + ?Sized>(rng: &mut R, classes: usize) -> Sequential {
     let mut net = Sequential::new();

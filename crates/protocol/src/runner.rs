@@ -66,7 +66,7 @@ pub struct RunnerOptions {
     /// fan-outs.
     pub parallelism: Parallelism,
     /// Record the message stream into the outcome's transcript.
-    /// Disabled for pure-throughput runs (the bench arm).
+    /// Disabled for pure-throughput runs.
     pub record: bool,
 }
 

@@ -110,8 +110,7 @@ impl AuthoritySession {
         }
     }
 
-    /// The underlying authority (for comm-log inspection in tests and
-    /// benches).
+    /// The underlying authority (for comm-log inspection in tests).
     pub fn authority(&self) -> &KeyAuthority {
         &self.authority
     }

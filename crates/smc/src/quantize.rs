@@ -4,7 +4,7 @@
 //! the paper "keep[s] two-decimal places approximately and then
 //! transfer[s] the floating point number to the integer" (§IV-B3).
 //! [`FixedPoint`] is that codec, with a configurable scale so the
-//! precision ablation can sweep it.
+//! precision test (`two_decimals_of_fixed_point_suffice`) can sweep it.
 
 use cryptonn_matrix::Matrix;
 use serde::{Deserialize, Serialize};

@@ -4,8 +4,9 @@
 //! Trains the scaled-down CryptoCNN (LeNet topology over 14×14 digits)
 //! on encrypted images and labels, against a plaintext twin with the
 //! same initialization, and reports batch accuracy for both — a mini
-//! version of Fig. 6. The full-scale harness is
-//! `cargo run --release -p cryptonn-bench --bin fig6_table3`.
+//! version of Fig. 6. The asserted Fig. 6 / Table III comparison is
+//! `cryptocnn_matches_lenet_accuracy_per_epoch_and_bucket` in
+//! `tests/end_to_end.rs`.
 //!
 //! Run with: `cargo run --release -p cryptonn-suite --example encrypted_mnist`
 

@@ -3,10 +3,11 @@
 
 use cryptonn_core::{Client, CryptoCnn, CryptoMlp, CryptoNnConfig};
 use cryptonn_data::{clinic_dataset, split_among_clients, synthetic_digits, DigitConfig};
-use cryptonn_fe::{KeyAuthority, PermittedFunctions};
+use cryptonn_fe::{KeyAuthority, PermittedFunctions, COMMITMENT_BYTES, KEY_BYTES, WEIGHT_BYTES};
 use cryptonn_group::SchnorrGroup;
 use cryptonn_matrix::{Matrix, Tensor4};
 use cryptonn_nn::{accuracy, binary_accuracy, one_hot};
+use cryptonn_smc::FixedPoint;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -178,6 +179,127 @@ fn encrypted_cnn_tracks_plaintext_twin_on_digits() {
     }
 }
 
+/// Fig. 6 / Table III: CryptoCNN and an identically initialised
+/// plaintext LeNet twin, trained on the same digit batches, reach the
+/// same test accuracy after every epoch and the same batch accuracy in
+/// every 5-iteration bucket. `lenet_small` on 4 classes of 14×14
+/// digits stands in for the paper's LeNet-5 on MNIST.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "slow in debug; runs in release")]
+fn cryptocnn_matches_lenet_accuracy_per_epoch_and_bucket() {
+    let (classes, img, train_n, test_n, batch_n, bucket, lr) = (4, 14, 320, 80, 8, 5, 0.3);
+    let config = CryptoNnConfig::fast();
+    let auth = authority(&config, 901);
+
+    let subset = |n: usize, seed: u64| -> (Matrix<f64>, Vec<usize>) {
+        let d = synthetic_digits(n * 10 / classes, DigitConfig::small(), seed);
+        let idx: Vec<usize> = (0..d.len())
+            .filter(|&i| d.labels()[i] < classes)
+            .take(n)
+            .collect();
+        let images = Matrix::from_fn(idx.len(), d.feature_dim(), |r, c| d.images()[(idx[r], c)]);
+        (images, idx.iter().map(|&i| d.labels()[i]).collect())
+    };
+    let (train_x, train_y) = subset(train_n, 902);
+    let (test_x, test_y) = subset(test_n, 903);
+    let y_test = one_hot(&test_y, classes);
+
+    let mut rng_a = StdRng::seed_from_u64(904);
+    let mut crypto = CryptoCnn::lenet_small(config, classes, &mut rng_a);
+    let mut rng_b = StdRng::seed_from_u64(904);
+    let mut plain = CryptoCnn::lenet_small(config, classes, &mut rng_b);
+    let spec = crypto.conv_spec();
+    let mut client = Client::for_cnn(&auth, &spec, 1, classes, config.fp, 905)
+        .with_parallelism(config.parallelism);
+
+    // Per-iteration batch accuracies (CryptoCNN, LeNet) for Fig. 6.
+    let mut series: Vec<(f64, f64)> = Vec::new();
+    for epoch in 1..=2 {
+        for start in (0..train_x.rows()).step_by(batch_n) {
+            let end = (start + batch_n).min(train_x.rows());
+            let x = Matrix::from_fn(end - start, train_x.cols(), |r, c| train_x[(start + r, c)]);
+            let y = one_hot(&train_y[start..end], classes);
+            let images = Tensor4::from_flat(&x, 1, img, img);
+            let batch = client.encrypt_image_batch(&images, &y, &spec).unwrap();
+            let step_c = crypto.train_encrypted_batch(&auth, &batch, lr).unwrap();
+            let step_p = plain.train_plain_batch(&x, &y, lr);
+            series.push((
+                accuracy(&step_c.predictions, &y),
+                accuracy(&step_p.predictions, &y),
+            ));
+        }
+        // Table III: test accuracy after this epoch.
+        let acc_c = accuracy(&crypto.predict_plain(&test_x), &y_test);
+        let acc_p = accuracy(&plain.predict_plain(&test_x), &y_test);
+        assert!(
+            (acc_c - acc_p).abs() <= 0.05,
+            "epoch {epoch}: CryptoCNN {acc_c} vs LeNet {acc_p}"
+        );
+        assert!(
+            acc_c >= 0.9 && acc_p >= 0.9,
+            "epoch {epoch}: test accuracy too low: CryptoCNN {acc_c}, LeNet {acc_p}"
+        );
+    }
+    // Fig. 6: mean batch accuracy per bucket.
+    for (b, chunk) in series.chunks(bucket).enumerate() {
+        let n = chunk.len() as f64;
+        let mean_c = chunk.iter().map(|s| s.0).sum::<f64>() / n;
+        let mean_p = chunk.iter().map(|s| s.1).sum::<f64>() / n;
+        assert!(
+            (mean_c - mean_p).abs() <= 0.05,
+            "bucket {b}: CryptoCNN {mean_c} vs LeNet {mean_p}"
+        );
+    }
+}
+
+/// The paper's two decimals of fixed point are enough: encrypted
+/// training learns the clinic task at scales 10, 100 and 1000, and the
+/// paper's scale 100 is as accurate as the finer 1000.
+#[test]
+fn two_decimals_of_fixed_point_suffice() {
+    let train = clinic_dataset(80, 71);
+    let test = clinic_dataset(60, 72);
+    let squash = |m: &Matrix<f64>| m.map(|v: f64| (v / 3.0).clamp(-1.0, 1.0));
+    let y_test = Matrix::from_fn(test.len(), 1, |r, _| test.labels()[r] as f64);
+
+    let mut accs = Vec::new();
+    for scale in [10u32, 100, 1000] {
+        let config = CryptoNnConfig {
+            fp: FixedPoint::new(scale),
+            ..CryptoNnConfig::fast()
+        };
+        let auth = authority(&config, 73);
+        let mut client = Client::for_mlp(&auth, train.feature_dim(), 1, config.fp, 74);
+        let mut rng = StdRng::seed_from_u64(75);
+        let mut model = CryptoMlp::binary(train.feature_dim(), &[8], config, &mut rng);
+
+        let mut last_loss = f64::NAN;
+        for _ in 0..8 {
+            for (x, y) in train.batches(16) {
+                let y_bin = Matrix::from_fn(y.rows(), 1, |r, _| y[(r, 1)]);
+                let batch = client.encrypt_batch(&squash(&x), &y_bin).unwrap();
+                last_loss = model
+                    .train_encrypted_batch(&auth, &batch, 1.5)
+                    .unwrap()
+                    .loss;
+            }
+        }
+        assert!(
+            last_loss.is_finite(),
+            "scale {scale}: final loss {last_loss}"
+        );
+        let acc = binary_accuracy(&model.predict_plain(&squash(test.images())), &y_test);
+        assert!(acc >= 0.8, "scale {scale}: test accuracy {acc}");
+        accs.push(acc);
+    }
+    assert!(
+        (accs[1] - accs[2]).abs() <= 0.05,
+        "scale 100 ({}) should match scale 1000 ({})",
+        accs[1],
+        accs[2]
+    );
+}
+
 /// The authority's communication log reflects §IV-B2's model: per
 /// iteration the server sends k·n weights and receives k keys.
 #[test]
@@ -210,6 +332,22 @@ fn key_traffic_matches_the_papers_accounting() {
     let before = auth.comm_log();
     model.train_encrypted_batch(&auth, &batch, 0.5).unwrap();
     let after = auth.comm_log();
-    assert_eq!(after.ip_requests - before.ip_requests, hidden as u64);
-    assert_eq!(after.bo_requests - before.bo_requests, 4);
+    let (k, n, bo) = (hidden as u64, features as u64, 4);
+    assert_eq!(after.ip_requests - before.ip_requests, k);
+    assert_eq!(after.bo_requests - before.bo_requests, bo);
+    // The paper's k·n weights to the authority, then its byte totals:
+    // k·n·|w| plus one commitment and one weight per FEBO request sent,
+    // one key per request received.
+    assert_eq!(
+        after.ip_weights_received - before.ip_weights_received,
+        k * n
+    );
+    assert_eq!(
+        after.bytes_received() - before.bytes_received(),
+        k * n * WEIGHT_BYTES + bo * (COMMITMENT_BYTES + WEIGHT_BYTES)
+    );
+    assert_eq!(
+        after.bytes_sent() - before.bytes_sent(),
+        (k + bo) * KEY_BYTES
+    );
 }
